@@ -58,15 +58,14 @@ def _witness_dict(w: construction.WitnessPair) -> dict[str, Any]:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    # build_starter has already checked the terrace and starter properties;
+    # a failure there raises RuntimeError, so only the cover is left to verify.
     inst = construction.build_starter(args.n, args.root)
-    ok_terrace, _ = pathcore.is_terrace(inst.terrace)
-    ok_starter, profile = odc.is_odc_starter(inst.terrace)
     collection = odc.translates(inst.terrace)
-    report = odc.verify_odc(collection)
-    verified = bool(ok_terrace and ok_starter and report.ok)
+    verified = odc.verify_odc(collection).ok
 
     lengths = pathcore.edge_lengths(inst.terrace)
-    distances = sorted(profile.assignment.items()) if profile else []
+    distances = sorted(inst.profile.assignment.items())
     want_odc = args.emit in ("odc", "all")
     want_wit = args.emit in ("witnesses", "all")
     cert = construction.witness_certificate(inst) if want_wit else None
@@ -81,7 +80,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     }
     if want_odc:
         result["odc"] = [list(p.vertices) for p in collection.paths]
-    if want_wit and cert is not None:
+    if cert is not None:
         result["witnesses"] = [_witness_dict(cert[k]) for k in sorted(cert)]
 
     inputs = {"n": args.n, "root": args.root, "emit": args.emit}
@@ -98,7 +97,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             print(f"# odc {inst.n} rows")
             for p in collection.paths:
                 print(pathcore.format_path(p))
-        if want_wit and cert is not None:
+        if cert is not None:
             print("# witnesses")
             for k in sorted(cert):
                 w = cert[k]
@@ -111,11 +110,20 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- verify
 
 
+def _path_from_json(row: Any) -> VertexPath:
+    # bool is an int subclass; neither it nor a float or string is a vertex label
+    if not isinstance(row, list) or not all(type(v) is int for v in row):
+        raise ValueError(f"a path must be a list of integers, got {row!r}")
+    return VertexPath(tuple(row))
+
+
 def _paths_from_text(text: str, mode: str) -> list[VertexPath]:
     """Fixture lines, or a machine JSON document (sniffed by its first byte)."""
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
         result = doc.get("result", {})
+        if not isinstance(result, dict):
+            raise ValueError(f"'result' must be an object, got {result!r}")
         if mode == "odc" and "odc" in result:
             rows = result["odc"]
         elif "starter" in result:
@@ -126,7 +134,9 @@ def _paths_from_text(text: str, mode: str) -> list[VertexPath]:
             rows = result["starters"]
         else:
             raise ValueError("machine document carries no paths")
-        return [VertexPath(tuple(row)) for row in rows]
+        if not isinstance(rows, list):
+            raise ValueError(f"paths must be a list, got {rows!r}")
+        return [_path_from_json(row) for row in rows]
     return pathcore.parse_paths(text)
 
 
@@ -277,6 +287,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         inputs: dict[str, Any] = {"n": args.n}
     else:
         lo, hi = args.range
+        if lo > hi:
+            raise ValueError(f"--range needs LO <= HI, got LO={lo} HI={hi}")
         if args.new_only:
             verdicts = [(nv.verdict, nv.families) for nv in coverage.enumerate_new_values(hi)
                         if nv.verdict.n >= lo]

@@ -48,21 +48,29 @@ def _resolve_root(p: int, root: int | None) -> int:
     return root % p
 
 
+def _log_terrace(n: int, root: int | None) -> tuple[int, list[int], DirectedTerrace]:
+    """Eligibility, root, log table and the unchecked directed terrace of logs."""
+    p = eligibility_modulus(n)
+    g = _resolve_root(p, root)
+    logs = modnum.discrete_log_table(g, p)
+    return g, logs, DirectedTerrace(tuple(logs[1:]))
+
+
+def _stage_defect(n: int, root: int, stage: str) -> RuntimeError:
+    return RuntimeError(
+        f"internal defect (n={n}, root={root}): the log sequence fails the {stage} check"
+    )
+
+
 def log_sequence(n: int, root: int | None = None) -> DirectedTerrace:
     """The directed terrace (log 1, log 2, ..., log 2n) over Z_{2n}.
 
     Logs are base a primitive root of p = 2n+1, the smallest by default.
     The symmetric-directed-terrace property is guaranteed and re-checked.
     """
-    p = eligibility_modulus(n)
-    g = _resolve_root(p, root)
-    logs = modnum.discrete_log_table(g, p)
-    t = DirectedTerrace(tuple(logs[1:]))
+    g, _, t = _log_terrace(n, root)
     if not pathcore.is_symmetric_directed_terrace(t):
-        raise RuntimeError(
-            f"internal defect: log sequence for n={n}, root={g} "
-            "is not a symmetric directed terrace"
-        )
+        raise _stage_defect(n, g, "symmetric")
     return t
 
 
@@ -103,22 +111,19 @@ def build_starter(n: int, root: int | None = None) -> StarterInstance:
     """Construct the starter for odd n with 2n+1 prime.
 
     Eligibility failures raise NotEligibleError and an invalid explicit root
-    raises ValueError.  The terrace and starter checks are re-run on the
-    result; they cannot fail for eligible input, so a failure raises
-    RuntimeError.
+    raises ValueError.  The symmetric, terrace and starter checks are re-run
+    on the result, each once; they cannot fail for eligible input, so a
+    failure raises RuntimeError naming n, root and the failing check.
     """
-    p = eligibility_modulus(n)
-    g = _resolve_root(p, root)
-    logs = modnum.discrete_log_table(g, p)
-    directed = DirectedTerrace(tuple(logs[1:]))
-    terrace = pathcore.project_to_half(directed)
-    ok_terrace, _ = pathcore.is_terrace(terrace)
-    ok_starter, profile = odc.is_odc_starter(terrace)
-    if not (ok_terrace and ok_starter) or profile is None:
-        failed = "terrace" if not ok_terrace else "starter"
-        raise RuntimeError(
-            f"internal defect: constructed path for n={n}, root={g} fails the {failed} check"
-        )
+    g, logs, directed = _log_terrace(n, root)
+    try:
+        terrace = pathcore.project_to_half(directed)
+    except ValueError:
+        raise _stage_defect(n, g, "symmetric") from None
+    ok, profile = odc.is_odc_starter(terrace)
+    if not ok:
+        # is_odc_starter returns no profile exactly when the terrace check fails
+        raise _stage_defect(n, g, "terrace" if profile is None else "starter")
     return StarterInstance(
         n=n, root=g, log_table=tuple(logs), terrace=terrace, profile=profile
     )

@@ -195,11 +195,11 @@ class CoverageVerdict:
 
 
 def classify(n: int) -> CoverageVerdict:
-    """Coverage verdict for odd n >= 3."""
+    """Coverage verdict for odd n with 3 <= n < 2**63, so that 2n+1 fits in 64 bits."""
     if n % 2 == 0 or n < 3:
         raise ValueError(f"need an odd n >= 3, got {n}")
-    if n >= 1 << 64:
-        raise ValueError(f"n must fit in 64 bits, got {n}")
+    if n >= 1 << 63:
+        raise ValueError(f"n must be below 2**63 so that 2n+1 fits in 64 bits, got {n}")
     return CoverageVerdict(n, product_certificate(n), modnum.is_prime(2 * n + 1))
 
 

@@ -8,9 +8,11 @@ canonical distance 1..m is a starter: its n translates form an ODC.
 
 verify_odc counts every edge occurrence and every pairwise intersection
 directly from the vertex data; nothing is inferred from how a collection was
-produced.  The counting kernel is vectorised so that desk-scale sweeps over
-hundreds of collections stay fast, but it remains a plain exhaustive count
-and its report is deterministic.
+produced.  Every input, valid or not, goes through one counting kernel: one
+sorted key per (edge, row) occurrence, unique because a Hamiltonian path
+holds each edge at most once, from which edge counts and shared-edge counts
+per path pair are tallied with bincount.  It is a plain exhaustive count and
+its report is deterministic.
 """
 
 from __future__ import annotations
@@ -84,26 +86,6 @@ def is_odc_starter(path: VertexPath) -> tuple[bool, DistanceProfile | None]:
     profile = DistanceProfile(n, assignment)
     starter = sorted(assignment.values()) == list(range(1, path.m + 1))
     return starter, profile
-
-
-def _starter_by_injectivity(path: VertexPath) -> bool:
-    """Equivalent starter formulation: the m pair distances are pairwise distinct.
-
-    A terrace has exactly m same-length pairs and distances lie in [1, m], so
-    injectivity and bijectivity coincide; both routes are kept and must agree.
-    """
-    ok, lengths = pathcore.is_terrace(path)
-    if not ok:
-        return False
-    vs = path.vertices
-    seen = set()
-    for ps in lengths.positions.values():
-        i, j = ps
-        k = edge_distance(path.n, (vs[i], vs[i + 1]), (vs[j], vs[j + 1]))
-        if k in seen:
-            return False
-        seen.add(k)
-    return True
 
 
 class OdcCollection:
@@ -213,10 +195,6 @@ class VerificationReport:
         return self.double_cover_ok and self.orthogonality_ok
 
 
-def _as_collection(c: OdcCollection | Sequence[VertexPath]) -> OdcCollection:
-    return c if isinstance(c, OdcCollection) else OdcCollection(c)
-
-
 def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> VerificationReport:
     """Exhaustively check the double-cover and orthogonality properties.
 
@@ -224,8 +202,15 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
     unordered pair of members must share exactly one edge.  All violations
     are reported, including uncovered edges (count 0) and disjoint path
     pairs, sorted by kind then subject.
+
+    Each (edge, row) occurrence becomes the key edge_id * n + row.  A
+    Hamiltonian path holds an edge at most once, so the keys are unique and
+    sorting them groups every edge's owners in ascending row order.  Owners
+    d places apart within a group form one path pair per edge they share;
+    the offsets d = 1, 2, ... run up to the largest edge multiplicity minus
+    one, so a valid cover needs a single offset.
     """
-    coll = _as_collection(collection)
+    coll = collection if isinstance(collection, OdcCollection) else OdcCollection(collection)
     n = coll.n
     mat = coll.matrix
     n_edges = n * (n - 1) // 2
@@ -233,61 +218,33 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
     a = mat[:, :-1]
     b = mat[:, 1:]
     eid = np.minimum(a, b) * n + np.maximum(a, b)
-    flat = eid.ravel()
-    edge_counts = np.bincount(flat, minlength=n * n)
-    double_ok = bool(
-        np.count_nonzero(edge_counts) == n_edges and int(edge_counts.max()) == 2
-    )
+    keys = np.sort((eid * n + np.arange(n, dtype=np.int64)[:, None]).ravel())
+    edge, owner = np.divmod(keys, n)
+    edge_counts = np.bincount(edge, minlength=n * n)
 
-    # Pair intersections: each edge id's occurrences contribute one count per
-    # unordered pair of owning rows.
-    if double_ok:
-        # Every id occurs exactly twice, so its owning pair {r1, r2} can be
-        # recovered from the per-id row sum and sum of squares:
-        # (r1-r2)^2 == 2*(r1^2+r2^2) - (r1+r2)^2.  Exact in float64 here.
-        row_of = np.repeat(np.arange(n, dtype=np.int64), n - 1)
-        rsum = np.bincount(flat, weights=row_of, minlength=n * n)
-        rsumsq = np.bincount(flat, weights=row_of * row_of, minlength=n * n)
-        covered = edge_counts == 2
-        s = np.rint(rsum[covered]).astype(np.int64)
-        q = np.rint(np.sqrt(2.0 * rsumsq[covered] - s.astype(np.float64) ** 2)).astype(np.int64)
-        pair_ids = ((s - q) >> 1) * n + ((s + q) >> 1)
-        pair_counts = np.bincount(pair_ids, minlength=n * n)
-        # Total increments equal n_edges here, so full coverage means all 1.
-        orth_ok = bool(np.count_nonzero(pair_counts) == n_edges)
-    else:
-        order = np.argsort(flat, kind="stable")
-        rows = order // (n - 1)
-        srt = flat[order]
-        pair_counts = np.zeros(n * n, dtype=np.int64)
-        boundaries = np.flatnonzero(np.diff(srt)) + 1
-        start = 0
-        for end in [*boundaries.tolist(), len(srt)]:
-            owners = sorted(rows[start:end].tolist())
-            for i in range(len(owners)):
-                for j in range(i + 1, len(owners)):
-                    pair_counts[owners[i] * n + owners[j]] += 1
-            start = end
-        xs, ys = np.triu_indices(n, 1)
-        orth_ok = bool(np.all(pair_counts[xs * n + ys] == 1))
+    pair_counts = np.zeros(n * n, dtype=np.int64)
+    d = 1
+    while True:
+        hit = np.flatnonzero(edge[d:] == edge[:-d])
+        if not hit.size:
+            break
+        pair_counts += np.bincount(owner[hit] * n + owner[hit + d], minlength=n * n)
+        d += 1
+
+    # Counts live only at upper-triangle ids, so n_edges non-zero entries
+    # with the right maximum means every entry is exactly that maximum.
+    double_ok = bool(np.count_nonzero(edge_counts) == n_edges and edge_counts.max() == 2)
+    orth_ok = bool(np.count_nonzero(pair_counts) == n_edges and pair_counts.max() == 1)
 
     violations: list[Violation] = []
-    if not double_ok:
+    if not (double_ok and orth_ok):
         xs, ys = np.triu_indices(n, 1)
         ids = xs * n + ys
-        counts = edge_counts[ids]
-        bad = counts != 2
-        violations.extend(
-            Violation("edge", (int(x), int(y)), int(c))
-            for x, y, c in zip(xs[bad], ys[bad], counts[bad])
-        )
-    if not orth_ok:
-        xs, ys = np.triu_indices(n, 1)
-        ids = xs * n + ys
-        counts = pair_counts[ids]
-        bad = counts != 1
-        violations.extend(
-            Violation("pair", (int(x), int(y)), int(c))
-            for x, y, c in zip(xs[bad], ys[bad], counts[bad])
-        )
+        for kind, by_id, want in (("edge", edge_counts, 2), ("pair", pair_counts, 1)):
+            counts = by_id[ids]
+            bad = counts != want
+            violations.extend(
+                Violation(kind, (x, y), c)
+                for x, y, c in zip(xs[bad].tolist(), ys[bad].tolist(), counts[bad].tolist())
+            )
     return VerificationReport(double_ok, orth_ok, tuple(violations))

@@ -21,7 +21,7 @@ from fixture files need no trusted metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,3 @@ def format_path(path: VertexPath) -> str:
 
 def format_paths(paths: Iterable[VertexPath]) -> str:
     return "\n".join(format_path(p) for p in paths)
-
-
-def path_from_values(values: Sequence[int]) -> VertexPath:
-    """Convenience constructor from any integer sequence."""
-    return VertexPath(tuple(values))

@@ -1,13 +1,16 @@
 """Independent brute-force oracles shared across the test modules.
 
 Everything here recomputes results from first principles (sieves, order
-scans, exhaustive translate scans, divisor recursion) so the library is
-checked against a second route, not against itself.
+scans, exhaustive translate scans, divisor recursion, dictionary counts) so
+the library is checked against a second route, not against itself.  Nothing
+here imports odckit or numpy.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from math import isqrt
 
 
@@ -54,6 +57,51 @@ def naive_distance_set(n: int, e1: tuple[int, int], e2: tuple[int, int]) -> set[
         if {(x1 - k) % n, (y1 - k) % n} == target:
             out.add(min(k, n - k))
     return out
+
+
+def starter_by_injectivity(vertices: tuple[int, ...]) -> bool:
+    """Starter test by injectivity: every length 1..m occurs exactly twice and
+    the m same-length edge pairs sit at pairwise distinct distances.
+
+    A terrace has exactly m same-length pairs and distances lie in [1, m], so
+    injectivity is equivalent to the bijectivity that odc.is_odc_starter
+    tests.  Lengths are recounted here and distances found by translate scan.
+    """
+    n = len(vertices)
+    by_length: dict[int, list[tuple[int, int]]] = {}
+    for x, y in zip(vertices, vertices[1:]):
+        d = (y - x) % n
+        by_length.setdefault(min(d, n - d), []).append((x, y))
+    if any(len(by_length.get(ell, ())) != 2 for ell in range(1, (n - 1) // 2 + 1)):
+        return False
+    seen = set()
+    for e1, e2 in by_length.values():
+        (k,) = naive_distance_set(n, e1, e2)
+        if k in seen:
+            return False
+        seen.add(k)
+    return True
+
+
+def oracle_verify(rows: list[tuple[int, ...]]) -> tuple[bool, bool, tuple]:
+    """Double-cover and orthogonality by dictionaries over edges and row pairs.
+
+    Returns (double_cover_ok, orthogonality_ok, violations) with violations
+    as (kind, subject, count) triples sorted by kind then subject, the layout
+    of odc.VerificationReport.
+    """
+    n = len(rows)
+    owners: dict[tuple[int, int], list[int]] = {}
+    for r, vs in enumerate(rows):
+        for x, y in zip(vs, vs[1:]):
+            owners.setdefault((min(x, y), max(x, y)), []).append(r)
+    shared: Counter[tuple[int, int]] = Counter()
+    for rs in owners.values():
+        shared.update(combinations(rs, 2))
+    everything = list(combinations(range(n), 2))
+    edges = [("edge", e, len(owners.get(e, ()))) for e in everything if len(owners.get(e, ())) != 2]
+    pairs = [("pair", q, shared[q]) for q in everything if shared[q] != 1]
+    return not edges, not pairs, tuple(edges + pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from odckit import cli
 
 
@@ -126,6 +128,25 @@ class TestVerify:
         assert doc["result"]["double_cover_ok"] is False
         assert any(v["kind"] == "pair" and v["count"] == 8 for v in doc["result"]["violations"])
 
+    @pytest.mark.parametrize(
+        ("document", "mode", "named"),
+        [
+            ({"result": {"starter": [0, 1.7, 3, 2, 4.0]}}, "terrace", "1.7"),
+            ({"result": {"starter": [False, True, 3, 2, 4]}}, "terrace", "False"),
+            ({"result": {"starter": ["0", "1", "3", "2", "4"]}}, "starter", "'0'"),
+            ({"result": {"starter": 5}}, "starter", "5"),
+            ({"result": {"odc": 5}}, "odc", "5"),
+            ({"result": [[0, 1, 3, 2, 4]]}, "starter", "[[0, 1, 3, 2, 4]]"),
+        ],
+    )
+    def test_machine_input_is_strict(self, capsys, tmp_path, document, mode, named):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(document))
+        code, out, err = run(capsys, "verify", str(f), "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
 
 class TestRoundTrip:
     def test_text_starter_round_trips(self, capsys, tmp_path):
@@ -218,6 +239,13 @@ class TestCoverage:
     def test_even_order_rejected(self, capsys):
         code, _, _ = run(capsys, "coverage", "--n", "8")
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--new-only"]])
+    def test_reversed_range_rejected(self, capsys, extra):
+        code, out, err = run(capsys, "coverage", "--range", "9", "3", *extra)
+        assert code == 2
+        assert out == ""
+        assert "9" in err and "3" in err
 
     def test_new_only_needs_range(self, capsys):
         code, _, err = run(capsys, "coverage", "--n", "23", "--new-only")

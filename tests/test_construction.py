@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from helpers import power_table_logs
 
-from odckit import construction, coverage, modnum, odc, pathcore
+from odckit import cli, construction, coverage, modnum, odc, pathcore
 from odckit.construction import NotEligibleError
 
 
@@ -106,6 +106,32 @@ class TestBuildStarter:
         t = construction.log_sequence(9, 2)
         inst = construction.build_starter(9, 2)
         assert inst.terrace.vertices == pathcore.project_to_half(t).vertices
+
+
+class TestDefects:
+    """A check that cannot fail for eligible input raises RuntimeError naming
+    n, root and the failing check; the checks are forced to fail here."""
+
+    def test_symmetric_check_failure(self, monkeypatch):
+        monkeypatch.setattr(pathcore, "is_symmetric_directed_terrace", lambda t: False)
+        for build in (construction.build_starter, construction.log_sequence):
+            with pytest.raises(RuntimeError, match=r"n=9, root=2\).*symmetric check"):
+                build(9, 2)
+
+    @pytest.mark.parametrize(
+        ("result", "stage"),
+        [((False, None), "terrace"), ((False, odc.DistanceProfile(9, {})), "starter")],
+    )
+    def test_terrace_and_starter_check_failures(self, monkeypatch, result, stage):
+        monkeypatch.setattr(odc, "is_odc_starter", lambda path: result)
+        with pytest.raises(RuntimeError, match=rf"n=9, root=2\).*{stage} check"):
+            construction.build_starter(9, 2)
+
+    def test_cli_reports_a_defect_with_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(pathcore, "is_symmetric_directed_terrace", lambda t: False)
+        assert cli.main(["construct", "--n", "9"]) == 1
+        _, err = capsys.readouterr()
+        assert "verification defect" in err and "n=9, root=2" in err
 
 
 class TestWitnesses:

@@ -130,6 +130,16 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(1)
 
+    @pytest.mark.parametrize("n", [(1 << 63) + 1, (1 << 64) - 1, (1 << 64) + 1])
+    def test_rejects_orders_whose_complement_overflows(self, n):
+        with pytest.raises(ValueError, match=str(n)):
+            classify(n)
+
+    def test_largest_accepted_order(self):
+        # 2n+1 = 2**64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417
+        v = classify((1 << 63) - 1)
+        assert v.complement_prime is False
+
     def test_certificates_revalidate(self):
         for n in range(3, 2001, 2):
             cert = classify(n).product_cert

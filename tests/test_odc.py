@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import random
+import time
+
 import numpy as np
 import pytest
-from helpers import naive_distance_set
+from helpers import naive_distance_set, oracle_verify, starter_by_injectivity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odckit import odc, pathcore
+from odckit import construction, odc, pathcore
 from odckit.odc import OdcCollection
 from odckit.pathcore import VertexPath
 
@@ -90,7 +93,7 @@ class TestStarterScan:
     @settings(max_examples=200, deadline=None)
     def test_two_formulations_agree(self, path):
         ok, _ = odc.is_odc_starter(path)
-        assert ok == odc._starter_by_injectivity(path)
+        assert ok == starter_by_injectivity(path.vertices)
 
     @given(small_paths(), st.integers(min_value=0, max_value=12))
     @settings(max_examples=150, deadline=None)
@@ -189,3 +192,47 @@ class TestVerifyOdc:
         a = odc.verify_odc([STARTER_9] * 9)
         b = odc.verify_odc([STARTER_9] * 9)
         assert a == b
+
+
+def perturbed_covers(n: int, rng: random.Random) -> dict[str, list[tuple[int, ...]]]:
+    """The starter's cover for n and four broken or rearranged variants."""
+    rows = [p.vertices for p in odc.translates(construction.build_starter(n).terrace)]
+    r = rng.randrange(n)
+    swapped = list(rows[r])
+    a, b = rng.sample(range(n), 2)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    duplicated = list(rows)
+    duplicated[r] = rows[(r + 1 + rng.randrange(n - 1)) % n]
+    reversed_row = list(rows)
+    reversed_row[r] = rows[r][::-1]
+    return {
+        "cover": rows,
+        "swapped": rows[:r] + [tuple(swapped)] + rows[r + 1 :],
+        "duplicated": duplicated,
+        "reversed": reversed_row,
+        "identical": [rows[r]] * n,
+    }
+
+
+class TestVerifyAgainstOracle:
+    @pytest.mark.parametrize("n", [3, 5, 9, 11, 15, 23, 29])
+    def test_full_report_matches_oracle(self, n):
+        rng = random.Random(1000 + n)
+        for name, rows in perturbed_covers(n, rng).items():
+            report = odc.verify_odc([VertexPath(r) for r in rows])
+            got = (
+                report.double_cover_ok,
+                report.orthogonality_ok,
+                tuple((v.kind, v.subject, v.count) for v in report.violations),
+            )
+            assert got == oracle_verify(rows), (n, name)
+
+    def test_identical_rows_at_301_within_budget(self):
+        n = 301
+        coll = OdcCollection.from_rows(np.tile(np.arange(n), (n, 1)))
+        start = time.perf_counter()
+        report = odc.verify_odc(coll)
+        elapsed = time.perf_counter() - start
+        # every one of the 45,150 edges and 45,150 row pairs is a violation
+        assert len(report.violations) == 90_300
+        assert elapsed < 3.0, f"verify_odc took {elapsed:.2f}s"
