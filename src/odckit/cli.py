@@ -111,8 +111,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _path_from_json(row: Any) -> VertexPath:
-    # bool is an int subclass; neither it nor a float or string is a vertex label
-    if not isinstance(row, list) or not all(type(v) is int for v in row):
+    # VertexPath itself rejects bools, floats and strings, naming the value
+    if not isinstance(row, list):
         raise ValueError(f"a path must be a list of integers, got {row!r}")
     return VertexPath(tuple(row))
 

@@ -11,6 +11,9 @@ The witness machinery makes the starter property constructive.  For every
 canonical distance k in 1..m it derives, in Z_p, the pair of consecutive
 integer pairs whose projected edges have equal length and sit exactly k
 apart, and points at the literal positions of those edges in the terrace.
+A certificate is one walk over k = 1..m: x = g**k advances by one
+multiplication per step, and each k's quantities u, i, j, its two edges,
+their length and their distance are derived and checked once.
 """
 
 from __future__ import annotations
@@ -40,19 +43,20 @@ def eligibility_modulus(n: int) -> int:
     return p
 
 
-def _resolve_root(p: int, root: int | None) -> int:
-    if root is None:
-        return modnum.find_primitive_root(p)
-    if not modnum.is_primitive_root(root, p):
-        raise ValueError(f"{root} is not a primitive root of {p}")
-    return root % p
-
-
 def _log_terrace(n: int, root: int | None) -> tuple[int, list[int], DirectedTerrace]:
-    """Eligibility, root, log table and the unchecked directed terrace of logs."""
+    """Eligibility, root, log table and the unchecked directed terrace of logs.
+
+    eligibility_modulus is the one primality test of p; the modnum cores
+    called after it skip their own.
+    """
     p = eligibility_modulus(n)
-    g = _resolve_root(p, root)
-    logs = modnum.discrete_log_table(g, p)
+    if root is None:
+        g = modnum._find_primitive_root(p)
+    elif modnum._is_primitive_root(root, p):
+        g = root % p
+    else:
+        raise ValueError(f"{root} is not a primitive root of {p}")
+    logs = modnum._discrete_log_table(g, p)
     return g, logs, DirectedTerrace(tuple(logs[1:]))
 
 
@@ -165,19 +169,24 @@ def witness_pair(inst: StarterInstance, k: int) -> WitnessPair:
     project to terrace edges of equal length exactly k apart.  Every claimed
     property is re-checked; failures are defects, never expected errors.
     """
-    n = inst.n
     m = inst.m
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    p = inst.modulus
+    return _witness(inst, k, pow(inst.root, k, inst.modulus))
+
+
+def _witness(inst: StarterInstance, k: int, x: int) -> WitnessPair:
+    """witness_pair's derivation and checks, given x = root**k mod p."""
+    n = inst.n
     two_n = 2 * n
-    x = pow(inst.root, k, p)
+    p = two_n + 1
     u = (1 - x) * pow(1 + x, -1, p) % p  # x = -1 needs k = n, excluded by k <= m
     i = pow(u - 1, -1, p)
     j = x * i % p
-    for name, v in (("i", i), ("j", j)):
-        if v in (n, two_n):
-            raise _defect(inst, k, f"degenerate witness index {name}={v}")
+    if i == n or i == two_n:
+        raise _defect(inst, k, f"degenerate witness index i={i}")
+    if j == n or j == two_n:
+        raise _defect(inst, k, f"degenerate witness index j={j}")
 
     logs = inst.log_table
     a, b = logs[i] % n, logs[i + 1] % n
@@ -187,58 +196,55 @@ def witness_pair(inst: StarterInstance, k: int) -> WitnessPair:
 
     # Pairs (i, i+1) and (2n-i, 2n+1-i) name the same terrace edge, because
     # logs of y and -y agree mod n; canonicalise to the stored position.
-    pos_i = min(i, two_n - i)
-    pos_j = min(j, two_n - j)
+    pos_i = i if i < n else two_n - i
+    pos_j = j if j < n else two_n - j
     vs = inst.terrace.vertices
     for name, pos, e in (("i", pos_i, e_i), ("j", pos_j, e_j)):
-        if not 1 <= pos <= n - 1:
+        if not 1 <= pos < n:
             raise _defect(inst, k, f"witness position {name}={pos} outside the terrace")
-        if {vs[pos - 1], vs[pos]} != set(e):
+        a, b = vs[pos - 1], vs[pos]
+        if ((a, b) if a < b else (b, a)) != e:
             raise _defect(inst, k, f"edge {e} is not the terrace edge at position {pos}")
 
+    # Both edges are now literal terrace edges, sorted, so 0 < hi - lo < n.
     lu = logs[u] % n
     ell = min(lu, n - lu)
-    if not (
-        pathcore.edge_length(n, *e_i) == ell and pathcore.edge_length(n, *e_j) == ell
-    ):
+    d_i = e_i[1] - e_i[0]
+    d_j = e_j[1] - e_j[0]
+    if min(d_i, n - d_i) != ell or min(d_j, n - d_j) != ell:
         raise _defect(inst, k, f"edges {e_i}, {e_j} do not share length {ell}")
     if odc.edge_distance(n, e_i, e_j) != k:
         raise _defect(inst, k, f"edges {e_i}, {e_j} are not at distance {k}")
 
-    return WitnessPair(
-        k=k,
-        x=x,
-        u=u,
-        i=i,
-        j=j,
-        edge_i=e_i,
-        edge_j=e_j,
-        length=ell,
-        edge_index_i=pos_i - 1,
-        edge_index_j=pos_j - 1,
-    )
+    return WitnessPair(k, x, u, i, j, e_i, e_j, ell, pos_i - 1, pos_j - 1)
 
 
 def witness_certificate(inst: StarterInstance) -> dict[int, WitnessPair]:
     """Witnesses for every distance k in 1..m, cross-checked against the scan.
 
-    The witness-induced map length -> k must agree exactly with the distance
+    One walk over k = 1..m carries x = root**k forward by one multiplication
+    per step and runs witness_pair's derivation and checks on it.  The
+    witness-induced map length -> k must agree exactly with the distance
     profile found by the starter scan, and the witnessed lengths must exhaust
     1..m.  Any mismatch is a defect.
     """
-    profile = inst.profile
+    m = inst.m
+    g = inst.root
+    p = inst.modulus
+    assignment = inst.profile.assignment
     cert: dict[int, WitnessPair] = {}
-    lengths_seen = set()
-    for k in range(1, inst.m + 1):
-        w = witness_pair(inst, k)
-        if profile.assignment[w.length] != k:
+    x = 1
+    for k in range(1, m + 1):
+        x = x * g % p
+        w = _witness(inst, k, x)
+        if assignment.get(w.length) != k:
             raise _defect(
-                inst, k, f"scan assigns distance {profile.assignment[w.length]} to length {w.length}"
+                inst, k, f"scan assigns distance {assignment.get(w.length)} to length {w.length}"
             )
-        lengths_seen.add(w.length)
         cert[k] = w
-    if lengths_seen != set(range(1, inst.m + 1)):
+    lengths = sorted(w.length for w in cert.values())
+    if lengths != list(range(1, m + 1)):
         raise RuntimeError(
-            f"internal defect: witnessed lengths {sorted(lengths_seen)} do not cover 1..{inst.m}"
+            f"internal defect (n={inst.n}, root={g}): witnessed lengths {lengths} do not cover 1..{m}"
         )
     return cert

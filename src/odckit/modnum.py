@@ -125,6 +125,11 @@ def is_primitive_root(g: int, p: int) -> bool:
     """True when g generates the multiplicative group modulo the prime p."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    return _is_primitive_root(g, p)
+
+
+def _is_primitive_root(g: int, p: int) -> bool:
+    """is_primitive_root for a modulus the caller has already found prime."""
     g %= p
     if g == 0:
         return False
@@ -137,6 +142,11 @@ def find_primitive_root(p: int) -> int:
     """The smallest primitive root g >= 2 of the prime p >= 3."""
     if p < 3 or not is_prime(p):
         raise ValueError(f"need an odd prime >= 3, got {p}")
+    return _find_primitive_root(p)
+
+
+def _find_primitive_root(p: int) -> int:
+    """find_primitive_root for an odd modulus the caller has already found prime."""
     qs = _distinct_prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
@@ -196,6 +206,11 @@ def discrete_log_table(g: int, p: int) -> list[int]:
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    return _discrete_log_table(g, p)
+
+
+def _discrete_log_table(g: int, p: int) -> list[int]:
+    """discrete_log_table for a modulus the caller has already found prime."""
     g %= p
     if g == 0:
         raise ValueError(f"0 is not a primitive root of {p}")

@@ -40,20 +40,22 @@ def edge_distance(n: int, e1: Sequence[int], e2: Sequence[int]) -> int:
     d2 = (y2 - x2) % n
     if d1 == 0 or d2 == 0:
         raise ValueError("edge endpoints must be distinct")
-    if min(d1, n - d1) != min(d2, n - d2):
+    if d2 != d1 and d2 != n - d1:
         raise ValueError(f"edges {tuple(e1)} and {tuple(e2)} differ in length")
-    ks = set()
+    # k is the translate taking x1 -> x2 and y1 -> y2 when it exists, else c,
+    # the one taking x1 -> y2 and y1 -> x2.
     k = (x2 - x1) % n
+    c = (y2 - x1) % n
+    crossed = (x2 - y1) % n == c
     if (y2 - y1) % n == k:
-        ks.add(min(k, n - k))
-    k = (y2 - x1) % n
-    if (x2 - y1) % n == k:
-        ks.add(min(k, n - k))
-    if len(ks) != 1:
+        unique = not crossed or min(c, n - c) == min(k, n - k)
+    else:
+        k, unique = c, crossed
+    if not unique:
         # Unreachable for odd n with distinct endpoints; uniqueness is part
         # of the contract, so a violation is a defect.
         raise AssertionError(f"distance not unique for {tuple(e1)}, {tuple(e2)} in Z_{n}")
-    return ks.pop()
+    return k if 2 * k < n else n - k
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,8 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
     are reported, including uncovered edges (count 0) and disjoint path
     pairs, sorted by kind then subject.
 
-    Each (edge, row) occurrence becomes the key edge_id * n + row.  A
+    Each (edge, row) occurrence becomes the key edge_id << b | row, with b
+    the bit length of n - 1, so shifts and masks split it again.  A
     Hamiltonian path holds an edge at most once, so the keys are unique and
     sorting them groups every edge's owners in ascending row order.  Owners
     d places apart within a group form one path pair per edge they share;
@@ -218,8 +221,10 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
     a = mat[:, :-1]
     b = mat[:, 1:]
     eid = np.minimum(a, b) * n + np.maximum(a, b)
-    keys = np.sort((eid * n + np.arange(n, dtype=np.int64)[:, None]).ravel())
-    edge, owner = np.divmod(keys, n)
+    shift = (n - 1).bit_length()
+    keys = np.sort(((eid << shift) | np.arange(n, dtype=np.int64)[:, None]).ravel())
+    edge = keys >> shift
+    owner = keys & ((1 << shift) - 1)
     edge_counts = np.bincount(edge, minlength=n * n)
 
     pair_counts = np.zeros(n * n, dtype=np.int64)

@@ -20,8 +20,27 @@ from fixture files need no trusted metadata.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+
+def _strict_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """values as a tuple of plain ints; bools, floats and strings raise ValueError.
+
+    Integer types such as numpy's are converted with operator.index.
+    """
+    vs = tuple(values)
+    if set(map(type, vs)) != {int}:
+        for v in vs:
+            if isinstance(v, bool):
+                raise ValueError(f"{what} must be integers, got {v!r}")
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"{what} must be integers, got {v!r}") from None
+        vs = tuple(map(operator.index, vs))
+    return vs
 
 
 @dataclass(frozen=True)
@@ -31,7 +50,7 @@ class VertexPath:
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vs = tuple(int(v) for v in self.vertices)
+        vs = _strict_ints(self.vertices, "vertices")
         object.__setattr__(self, "vertices", vs)
         n = len(vs)
         if n < 3 or n % 2 == 0:
@@ -101,23 +120,19 @@ class LengthProfile:
 def length_profile(path: VertexPath) -> LengthProfile:
     n = path.n
     vs = path.vertices
-    positions: dict[int, list[int]] = {}
-    prev = vs[0]
-    for pos in range(n - 1):
-        cur = vs[pos + 1]
-        d = (cur - prev) % n
-        if 2 * d > n:
-            d = n - d
-        positions.setdefault(d, []).append(pos)
-        prev = cur
-    return LengthProfile(n, {ell: tuple(ps) for ell, ps in sorted(positions.items())})
+    by_length: list[list[int]] = [[] for _ in range(path.m + 1)]  # slot 0 stays empty
+    for pos, (a, b) in enumerate(zip(vs, vs[1:])):
+        d = (b - a) % n
+        by_length[d if 2 * d < n else n - d].append(pos)
+    return LengthProfile(n, {ell: tuple(ps) for ell, ps in enumerate(by_length) if ps})
 
 
 def is_terrace(path: VertexPath) -> tuple[bool, LengthProfile]:
     """Whether every length 1..m occurs exactly twice; the profile comes back either way."""
     profile = length_profile(path)
-    counts = profile.counts
-    ok = all(counts.get(ell) == 2 for ell in range(1, path.m + 1))
+    positions = profile.positions
+    # every length lies in 1..m, so m distinct lengths are all of them
+    ok = len(positions) == path.m and set(map(len, positions.values())) == {2}
     return ok, profile
 
 
@@ -135,7 +150,7 @@ class DirectedTerrace:
     sequencing: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        es = tuple(int(e) for e in self.entries)
+        es = _strict_ints(self.entries, "entries")
         object.__setattr__(self, "entries", es)
         k = len(es)
         if k < 6 or k % 2:
@@ -186,18 +201,22 @@ def project_to_half(t: DirectedTerrace) -> VertexPath:
 def parse_paths(text: str) -> list[VertexPath]:
     """Parse the one-path-per-line fixture format.
 
-    Each line holds comma-separated vertex labels; blank lines and '#'
+    Each line holds comma-separated vertex labels, each a run of ASCII
+    digits with optional spaces or tabs around it; blank lines and '#'
     comments (whole-line or trailing) are ignored.  Malformed lines raise
-    ValueError naming the line number.
+    ValueError naming the line number and, for a bad label, the token.
     """
     paths = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
+        toks = [tok.strip(" \t") for tok in body.split(",")]
+        for tok in toks:
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(f"line {lineno}: {tok!r} is not a vertex label")
         try:
-            vs = tuple(int(tok) for tok in body.split(","))
-            paths.append(VertexPath(vs))
+            paths.append(VertexPath(tuple(map(int, toks))))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return paths

@@ -83,6 +83,30 @@ def starter_by_injectivity(vertices: tuple[int, ...]) -> bool:
     return True
 
 
+def witness_oracle(n: int, g: int) -> dict[int, tuple]:
+    """Witness fields for every k in 1..m, in WitnessPair's field order.
+
+    x = g**k, u = (1-x)/(1+x), i = 1/(u-1) and j = x*i mod p = 2n+1, with
+    inverses by Fermat's little theorem.  The terrace is rebuilt from iterated
+    powers (vertex t is log(t+1) mod n), and each witness edge {log y mod n,
+    log(y+1) mod n} is located by a search over those raw vertices.
+    """
+    p = 2 * n + 1
+    logs = power_table_logs(g, p)
+    vertices = [logs[y] % n for y in range(1, n + 1)]
+    where = {frozenset(pair): pos for pos, pair in enumerate(zip(vertices, vertices[1:]))}
+    out = {}
+    for k in range(1, (n - 1) // 2 + 1):
+        x = pow(g, k, p)
+        u = (1 - x) * pow(1 + x, p - 2, p) % p
+        i = pow(u - 1, p - 2, p)
+        j = x * i % p
+        e_i, e_j = (tuple(sorted((logs[y] % n, logs[y + 1] % n))) for y in (i, j))
+        lu = logs[u] % n
+        out[k] = (k, x, u, i, j, e_i, e_j, min(lu, n - lu), where[frozenset(e_i)], where[frozenset(e_j)])
+    return out
+
+
 def oracle_verify(rows: list[tuple[int, ...]]) -> tuple[bool, bool, tuple]:
     """Double-cover and orthogonality by dictionaries over edges and row pairs.
 

@@ -109,6 +109,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(f))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        ("line", "token"), [("0,+1,3,2,4", "'+1'"), ("0,1,3,0_2,4", "'0_2'"), ("0,1,\u0663,2,4", "'\u0663'")]
+    )
+    def test_fixture_labels_are_strict(self, capsys, tmp_path, line, token):
+        # int() reads each of these tokens as a label of a valid path
+        f = tmp_path / "labels.txt"
+        f.write_text(f" 0 ,\t1,3,2,4\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(f))
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err and token in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))
         assert code == 2

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
-from helpers import power_table_logs
+from helpers import multiplicative_order, power_table_logs, sieve_primes, witness_oracle
 
 from odckit import cli, construction, coverage, modnum, odc, pathcore
 from odckit.construction import NotEligibleError
@@ -184,6 +186,39 @@ class TestWitnesses:
         cert = construction.witness_certificate(construction.build_starter(5, 2))
         assert sorted(cert) == [1, 2]
         assert sorted(w.length for w in cert.values()) == [1, 2]
+
+    def test_every_root_up_to_99_matches_the_oracle(self):
+        checked = 0
+        for p in sieve_primes(199):
+            n = (p - 1) // 2
+            if n < 3 or n % 2 == 0:
+                continue
+            for g in range(2, p):
+                if multiplicative_order(g, p) != p - 1:
+                    continue
+                inst = construction.build_starter(n, g)
+                cert = construction.witness_certificate(inst)
+                assert {k: dataclasses.astuple(w) for k, w in cert.items()} == witness_oracle(n, g)
+                for k, w in cert.items():
+                    assert construction.witness_pair(inst, k) == w
+                checked += 1
+        assert checked == 808
+
+    @pytest.mark.parametrize(
+        ("corrupt", "named"),
+        [
+            # vertices 4 and 1 swapped: the k=3 witness edge {2, 4} is no
+            # longer the terrace edge at position 3
+            ({"terrace": pathcore.VertexPath((0, 4, 1, 2, 7, 5, 6, 3, 8))}, "k=3"),
+            # lengths 1 and 2 exchange their distances 4 and 3; k=3 is the
+            # first witness to reach either (its length is 2)
+            ({"profile": odc.DistanceProfile(9, {1: 3, 2: 4, 3: 2, 4: 1})}, "k=3"),
+        ],
+    )
+    def test_forced_defect_names_n_root_and_k(self, corrupt, named):
+        inst = dataclasses.replace(construction.build_starter(9, 2), **corrupt)
+        with pytest.raises(RuntimeError, match=f"n=9, root=2, {named}\\)"):
+            construction.witness_certificate(inst)
 
 
 class TestFullPipelineSmallSweep:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,22 @@ class TestVertexPath:
             VertexPath((0, 1, 1))  # repeat
         with pytest.raises(ValueError):
             VertexPath((0, 1, 5))  # out of range
+
+    @pytest.mark.parametrize(
+        ("vertices", "named"), [((0, 1.7, 3, 2, 4), "1.7"), ((False, True, 3, 2, 4), "False")]
+    )
+    def test_rejects_non_integers_naming_the_value(self, vertices, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            VertexPath(vertices)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            DirectedTerrace(vertices + (5,))
+
+    def test_numpy_integers_become_plain_ints(self):
+        path = VertexPath(tuple(np.array([0, 1, 3, 2, 4])))
+        terrace = DirectedTerrace(tuple(np.array([0, 1, 8, 2, 4, 9, 7, 3, 6, 5], dtype=np.int32)))
+        assert path.vertices == (0, 1, 3, 2, 4)
+        assert terrace == DIRECTED_10
+        assert {type(v) for v in path.vertices + terrace.entries} == {int}
 
     def test_accessors(self):
         assert STARTER_9.n == 9
