@@ -12,18 +12,20 @@ produced.  Every input, valid or not, goes through one counting kernel: one
 sorted key per (edge, row) occurrence, unique because a Hamiltonian path
 holds each edge at most once, from which edge counts and shared-edge counts
 per path pair are tallied with bincount.  It is a plain exhaustive count and
-its report is deterministic.
+its report is deterministic.  numpy is imported on first use here, so the
+package's construction, search and coverage routes never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import pathcore
 from .pathcore import VertexPath
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def edge_distance(n: int, e1: Sequence[int], e2: Sequence[int]) -> int:
@@ -101,6 +103,8 @@ class OdcCollection:
     __slots__ = ("_n", "_matrix", "_paths")
 
     def __init__(self, paths: Iterable[VertexPath]):
+        import numpy as np
+
         rows = tuple(paths)
         if not rows:
             raise ValueError("collection is empty")
@@ -118,6 +122,8 @@ class OdcCollection:
     @classmethod
     def from_rows(cls, matrix: np.ndarray) -> "OdcCollection":
         """Build from an n x n integer array whose rows are permutations of 0..n-1."""
+        import numpy as np
+
         mat = np.ascontiguousarray(matrix, dtype=np.int64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"need a square path-per-row matrix, got shape {mat.shape}")
@@ -169,6 +175,8 @@ def translates(path: VertexPath) -> OdcCollection:
     The row ordering is part of the contract: published covers are reproduced
     row for row.
     """
+    import numpy as np
+
     n = path.n
     base = np.asarray(path.vertices, dtype=np.int64)
     matrix = (base[None, :] + np.arange(n, dtype=np.int64)[:, None]) % n
@@ -213,6 +221,8 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
     the offsets d = 1, 2, ... run up to the largest edge multiplicity minus
     one, so a valid cover needs a single offset.
     """
+    import numpy as np
+
     coll = collection if isinstance(collection, OdcCollection) else OdcCollection(collection)
     n = coll.n
     mat = coll.matrix

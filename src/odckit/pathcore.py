@@ -172,12 +172,11 @@ def is_symmetric_directed_terrace(t: DirectedTerrace) -> bool:
     element of Z_{2n} must appear exactly once among the b_i, and
     b_i == -b_{2n-i} must hold for 1 <= i <= n-1.  Those conditions pin the
     centre difference b_n to the involution n, which is checked explicitly
-    rather than assumed.
+    rather than assumed.  That the entries are a permutation of 0..2n-1 is
+    enforced when the DirectedTerrace is built.
     """
     k = t.order
     n = k // 2
-    if set(t.entries) != set(range(k)):
-        return False
     b = t.sequencing
     if set(b) != set(range(1, k)):
         return False

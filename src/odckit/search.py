@@ -7,10 +7,26 @@ lead to a terrace.  Full-length survivors get the search's own distance
 test, and everything emitted is re-verified through the odc module; a
 disagreement between the two routes is a defect.
 
+Only one subtree per orbit of the second vertex under the units of Z_n is
+searched.  For a unit a, x -> a*x fixes 0 and sends edge length l to +-a*l
+and pair distance k to +-a*k, both permutations of 1..m: the multiplier
+equivalence of M. A. Ollis, Sequenceable groups and related topics,
+Electron. J. Combin., Dynamic Survey DS10.  It carries the subtree of paths
+starting (0, d) node for node onto the subtree starting (0, a*d), because
+both cuts look only at how often each length occurs and which distances are
+taken, and it maps starters to starters.  The second vertices t with
+gcd(t, n) = d form one orbit, so the search explores the subtree of each
+divisor d < n of n; every other subtree gets the representative's node count
+and its full-length survivors mapped by a unit a with a*d = t (mod n), then
+sorted.  Results and nodes_explored are those of the unquotiented tree.
+When a limit would be reached inside a mapped subtree, that subtree is
+searched directly, so the stop and the node count stay exact.
+
 With canonicalisation on, exactly one representative per equivalence class
 under translation and reversal is kept: the lexicographically least member
-that starts at vertex 0.  Richer equivalences (multiplier maps, say) are
-deliberately not quotiented.
+that starts at vertex 0.  Lexicographic order is not multiplier-invariant,
+so the test runs on each mapped path itself, and every multiplier image of
+a starter is listed.
 """
 
 from __future__ import annotations
@@ -18,6 +34,8 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from math import gcd
+from typing import Callable
 
 from . import modnum, odc
 from .construction import NotEligibleError, build_starter, eligibility_modulus
@@ -52,7 +70,9 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchResult:
     starters: tuple[VertexPath, ...]
-    nodes_explored: int  # vertex placements performed, the fixed 0 included
+    # vertex placements of the unquotiented tree, the fixed 0 included; a
+    # mapped subtree counts its representative's placements
+    nodes_explored: int
     wall_time: float
 
 
@@ -111,54 +131,38 @@ def _distance_test(vs: tuple[int, ...], n: int, m: int) -> bool:
     return True
 
 
-def enumerate_starters(cfg: SearchConfig) -> SearchResult:
-    """Complete enumeration of the starters of Z_n with first vertex 0.
+def _explore(n: int, second: int, prune: PruneLevel, on_leaf: Callable[[tuple[int, ...]], bool]) -> int:
+    """Depth-first search of the subtree of paths that start (0, second).
 
-    Completeness holds for every prune level: the cuts only discard prefixes
-    that cannot extend to a terrace (a length already used twice) or to a
-    bijective distance map (a distance already taken by a completed pair).
-    Every emitted path is re-verified via odc.is_odc_starter.
+    Unused vertices are tried in ascending order, so leaves arrive in
+    lexicographic order; on_leaf sees every full-length path and returns
+    True to stop the search.  Returns the vertex placements performed,
+    second's included.
     """
-    n = cfg.n
     m = (n - 1) // 2
-    start = time.perf_counter()
-
     path = [0] * n
-    depth = 1
+    path[1] = second
+    depth = 2
     used = [False] * n
-    used[0] = True
+    used[0] = used[second] = True
     counts = [0] * (m + 1)
+    counts[min(second, n - second)] = 1
     # Distance bookkeeping, active only for the DISTANCES cut.
     first_pos = [-1] * (m + 1)
+    first_pos[min(second, n - second)] = 0
     pair_dist = [0] * (m + 1)
     dist_used = [False] * (m + 1)
 
-    prune_lengths = cfg.prune in (PruneLevel.LENGTHS, PruneLevel.DISTANCES)
-    prune_distances = cfg.prune is PruneLevel.DISTANCES
+    prune_lengths = prune in (PruneLevel.LENGTHS, PruneLevel.DISTANCES)
+    prune_distances = prune is PruneLevel.DISTANCES
 
-    found: list[tuple[int, ...]] = []
-    nodes = 1  # the fixed vertex 0
-    limit_hit = False
-
-    def emit() -> None:
-        nonlocal limit_hit
-        vs = tuple(path)
-        if not _distance_test(vs, n, m):
-            return
-        if cfg.canonicalize and vs != _canonical_tuple(vs, n):
-            return
-        candidate = VertexPath(vs)
-        ok, _ = odc.is_odc_starter(candidate)
-        if not ok:
-            raise RuntimeError(f"defect: search and odc starter tests disagree on {vs}")
-        found.append(vs)
-        if cfg.limit is not None and len(found) >= cfg.limit:
-            limit_hit = True
+    nodes = 1  # the second vertex
+    stop = False
 
     def dfs() -> None:
-        nonlocal depth, nodes
+        nonlocal depth, nodes, stop
         if depth == n:
-            emit()
+            stop = on_leaf(tuple(path))
             return
         prev = path[depth - 1]
         for v in range(1, n):
@@ -200,10 +204,75 @@ def enumerate_starters(cfg: SearchConfig) -> SearchResult:
                     dist_used[pair_dist[ell]] = False
             counts[ell] = c
             used[v] = False
-            if limit_hit:
+            if stop:
                 return
 
     dfs()
+    return nodes
+
+
+def enumerate_starters(cfg: SearchConfig) -> SearchResult:
+    """Complete enumeration of the starters of Z_n with first vertex 0.
+
+    Completeness holds for every prune level: the cuts only discard prefixes
+    that cannot extend to a terrace (a length already used twice) or to a
+    bijective distance map (a distance already taken by a completed pair).
+    Only the subtree of each unit-orbit representative is searched; the
+    others are its images under a multiplier (module docstring).  Every
+    emitted path passes the search's own distance test and is re-verified
+    via odc.is_odc_starter.
+    """
+    n = cfg.n
+    m = (n - 1) // 2
+    limit = cfg.limit
+    start = time.perf_counter()
+    found: list[tuple[int, ...]] = []
+    nodes = 1  # the fixed vertex 0
+
+    def canonical(vs: tuple[int, ...]) -> bool:
+        return not cfg.canonicalize or vs == _canonical_tuple(vs, n)
+
+    def emit(vs: tuple[int, ...]) -> bool:
+        """Re-verify and store a kept path; True once the limit is reached."""
+        ok, _ = odc.is_odc_starter(VertexPath(vs))
+        if not ok:
+            raise RuntimeError(f"defect: search and odc starter tests disagree on {vs}")
+        found.append(vs)
+        return len(found) == limit
+
+    # representative d -> (its full-length paths passing the distance test, its nodes)
+    subtrees: dict[int, tuple[list[tuple[int, ...]], int]] = {}
+    for t in range(1, n):
+        d = gcd(t, n)
+        if d == t:
+            survivors: list[tuple[int, ...]] = []
+
+            def on_leaf(vs: tuple[int, ...]) -> bool:
+                if not _distance_test(vs, n, m):
+                    return False
+                survivors.append(vs)
+                return canonical(vs) and emit(vs)
+
+            sub_nodes = _explore(n, t, cfg.prune, on_leaf)
+            nodes += sub_nodes
+            subtrees[t] = (survivors, sub_nodes)
+            if len(found) == limit:
+                break
+        else:
+            survivors, sub_nodes = subtrees[d]
+            a = next(a for a in range(1, n) if gcd(a, n) == 1 and a * d % n == t)
+            mapped = sorted(tuple(a * v % n for v in vs) for vs in survivors)
+            kept = [vs for vs in mapped if _distance_test(vs, n, m) and canonical(vs)]
+            if limit is not None and len(found) + len(kept) >= limit:
+                # the stop falls inside this subtree: search it for the exact node count
+                nodes += _explore(
+                    n, t, cfg.prune, lambda vs: _distance_test(vs, n, m) and canonical(vs) and emit(vs)
+                )
+                break
+            nodes += sub_nodes
+            for vs in kept:
+                emit(vs)
+
     starters = tuple(VertexPath(vs) for vs in found)
     return SearchResult(starters, nodes, time.perf_counter() - start)
 

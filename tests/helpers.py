@@ -83,6 +83,73 @@ def starter_by_injectivity(vertices: tuple[int, ...]) -> bool:
     return True
 
 
+def reference_enumerate(
+    n: int, prune: str, canonicalize: bool, limit: int | None
+) -> tuple[list[tuple[int, ...]], int]:
+    """Starters of Z_n from vertex 0 by a plain depth-first search over every
+    second vertex: no multiplier quotient.
+
+    prune is "none", "lengths" (skip an edge whose length the prefix already
+    holds twice) or "distances" (also skip an edge that completes a
+    same-length pair at a distance another completed pair has taken).
+    Unused vertices are tried in ascending order; leaves pass
+    starter_by_injectivity and, with canonicalize, must not exceed their
+    reversal translated to start at 0.  The search stops at the limit-th
+    starter.  Returns (starters, nodes), nodes counting vertex placements,
+    vertex 0 included.
+    """
+    found: list[tuple[int, ...]] = []
+    nodes = 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    path = [0]
+    placed = {0}
+    by_length: dict[int, list[tuple[int, int]]] = {ell: [] for ell in range(1, (n - 1) // 2 + 1)}
+    taken: set[int] = set()
+    cut_lengths = prune in ("lengths", "distances")
+    cut_distances = prune == "distances"
+
+    def extend() -> bool:
+        nonlocal nodes
+        if len(path) == n:
+            vs = tuple(path)
+            rev = tuple((v - vs[-1]) % n for v in reversed(vs))
+            if starter_by_injectivity(vs) and not (canonicalize and rev < vs):
+                found.append(vs)
+                return limit is not None and len(found) == limit
+            return False
+        last = path[-1]
+        for v in range(1, n):
+            if v in placed:
+                continue
+            edge = (last, v)
+            same = by_length[min((v - last) % n, (last - v) % n)]
+            if cut_lengths and len(same) == 2:
+                continue
+            k = None
+            if cut_distances and len(same) == 1:
+                # translating an edge moves its midpoint (x+y)/2 by the same amount
+                k = (sum(edge) - sum(same[0])) * half % n
+                k = min(k, n - k)
+                if k in taken:
+                    continue
+                taken.add(k)
+            nodes += 1
+            path.append(v)
+            placed.add(v)
+            same.append(edge)
+            stop = extend()
+            same.pop()
+            placed.discard(v)
+            path.pop()
+            taken.discard(k)
+            if stop:
+                return True
+        return False
+
+    extend()
+    return found, nodes
+
+
 def witness_oracle(n: int, g: int) -> dict[int, tuple]:
     """Witness fields for every k in 1..m, in WitnessPair's field order.
 

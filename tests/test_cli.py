@@ -221,6 +221,29 @@ class TestSearch:
         assert [0, 1, 3, 2, 4] in doc["result"]["starters"]
         assert doc["result"]["nodes_explored"] > 0
 
+    # found and nodes as the unquotiented search reported them
+    @pytest.mark.parametrize(
+        "extra, found, nodes",
+        [
+            (["--n", "7"], 0, 781),
+            (["--n", "9"], 36, 21833),
+            (["--n", "9", "--limit", "1", "--no-canonicalize"], 1, 373),
+            (["--n", "9", "--limit", "40", "--no-canonicalize"], 40, 12268),
+        ],
+    )
+    def test_pinned_counts(self, capsys, extra, found, nodes):
+        code, out, err = run(capsys, "search", *extra)
+        assert code == 0
+        assert err.startswith(f"# search n={extra[1]} found={found} nodes={nodes} time=")
+        assert len(out.splitlines()) == found
+
+    def test_machine_pinned_counts(self, capsys):
+        code, doc, _ = machine_doc(capsys, "search", "--n", "9")
+        assert code == 0
+        assert doc["verified"] is True
+        assert (doc["result"]["count"], doc["result"]["nodes_explored"]) == (36, 21833)
+        assert len(doc["result"]["starters"]) == 36
+
 
 class TestCoverage:
     def test_single_new_value(self, capsys):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,3 +240,15 @@ class TestVerifyAgainstOracle:
         # every one of the 45,150 edges and 45,150 row pairs is a violation
         assert len(report.violations) == 90_300
         assert elapsed < 3.0, f"verify_odc took {elapsed:.2f}s"
+
+
+def test_search_and_classify_leave_numpy_unloaded():
+    script = (
+        "import sys, odckit\n"
+        "odckit.classify(23)\n"
+        "odckit.enumerate_starters(odckit.SearchConfig(n=9))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(odc.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -129,6 +130,15 @@ class TestDirectedTerrace:
             DirectedTerrace((0, 1, 2, 3, 4, 4))  # repeat
         with pytest.raises(ValueError):
             DirectedTerrace((0, 1))  # too short
+
+    def test_non_permutation_rejected_at_construction(self):
+        # DIRECTED_10 with 5 lifted to 15: the differences mod 10, and so the
+        # symmetric check's input, are unchanged; only construction rejects it
+        entries = (0, 1, 8, 2, 4, 9, 7, 3, 6, 15)
+        with pytest.raises(ValueError, match="permutation"):
+            DirectedTerrace(entries)
+        with pytest.raises(ValueError, match="permutation"):
+            dataclasses.replace(DIRECTED_10, entries=entries)
 
     def test_broken_symmetry_detected(self):
         # directed terrace of Z_10 (all nine differences distinct, found by

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import time
+
 import pytest
+from helpers import reference_enumerate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +119,35 @@ class TestSoundnessAndCompleteness:
         res = enumerate_starters(SearchConfig(n=9))
         tuples = starter_tuples(res)
         assert tuples == sorted(tuples)
+
+
+class TestMultiplierQuotient:
+    """enumerate_starters maps subtrees by units of Z_n; the reference does not."""
+
+    @pytest.mark.parametrize("limit", [None, 1, 5, 20, 40])
+    @pytest.mark.parametrize("canonicalize", [True, False])
+    @pytest.mark.parametrize("level", list(PruneLevel), ids=lambda level: level.value)
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_matches_unquotiented_search(self, n, level, canonicalize, limit):
+        res = enumerate_starters(SearchConfig(n=n, prune=level, canonicalize=canonicalize, limit=limit))
+        want = reference_enumerate(n, level.value, canonicalize, limit)
+        assert (starter_tuples(res), res.nodes_explored) == want
+
+    @pytest.mark.parametrize("level", [PruneLevel.LENGTHS, PruneLevel.DISTANCES], ids=lambda level: level.value)
+    def test_matches_unquotiented_search_at_order_11(self, level):
+        # every starter from 0, so each mapped subtree's paths are all compared
+        res = enumerate_starters(SearchConfig(n=11, prune=level, canonicalize=False))
+        want = reference_enumerate(11, level.value, False, None)
+        assert (starter_tuples(res), res.nodes_explored) == want
+
+    def test_order_13_counts_within_budget(self):
+        # both counts from the unquotiented search, which takes 25-42 s on 2 CPUs
+        start = time.perf_counter()
+        res = enumerate_starters(SearchConfig(n=13, prune=PruneLevel.DISTANCES))
+        elapsed = time.perf_counter() - start
+        assert len(res.starters) == 11_256
+        assert res.nodes_explored == 16_978_837
+        assert elapsed < 12.0
 
 
 class TestCanonicalForm:
