@@ -213,7 +213,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         limit=args.limit,
         ceiling=args.ceiling,
     )
-    # enumerate_starters re-verifies every starter and raises on a defect (exit 1)
+    # enumerate_starters runs the starter scan on every path and raises on a defect (exit 1)
     res = search.enumerate_starters(cfg)
     result = {
         "n": args.n,

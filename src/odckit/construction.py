@@ -30,6 +30,7 @@ class NotEligibleError(ValueError):
 
 def eligibility_modulus(n: int) -> int:
     """Return p = 2n+1 after checking the construction applies to n."""
+    n = modnum._strict_int(n, "n")
     if n < 3:
         raise NotEligibleError(f"n must be at least 3, got {n}")
     if n % 2 == 0:
@@ -47,16 +48,18 @@ def _log_terrace(n: int, root: int | None) -> tuple[int, list[int], DirectedTerr
     """Eligibility, root, log table and the unchecked directed terrace of logs.
 
     eligibility_modulus is the one primality test of p; the modnum cores
-    called after it skip their own.
+    called after it skip their own.  The log table's repeat check is the one
+    test of an explicit root.
     """
     p = eligibility_modulus(n)
     if root is None:
         g = modnum._find_primitive_root(p)
-    elif modnum._is_primitive_root(root, p):
-        g = root % p
     else:
-        raise ValueError(f"{root} is not a primitive root of {p}")
-    logs = modnum._discrete_log_table(g, p)
+        g = modnum._strict_int(root, "root") % p
+    try:
+        logs = modnum._discrete_log_table(g, p)
+    except ValueError:
+        raise ValueError(f"{root} is not a primitive root of {p}") from None
     return g, logs, DirectedTerrace(tuple(logs[1:]))
 
 

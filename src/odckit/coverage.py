@@ -139,22 +139,19 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def product_certificate(n: int, *, allow_trivial_cofactor: bool = True) -> ProductCertificate | None:
+def product_certificate(n: int) -> ProductCertificate | None:
     """First qualifying decomposition of odd n, or None.
 
     The trivial decomposition (base n, no factors) is preferred when the
     whole of n qualifies as a base; otherwise proper bases are tried in
     ascending order, splitting each cofactor prime by prime with the
     smallest qualifying exponent partition.  Deterministic throughout.
-    With allow_trivial_cofactor=False the trivial decomposition is skipped,
-    forcing at least one prime-power factor.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need an odd n >= 3, got {n}")
-    if allow_trivial_cofactor:
-        tag = qualifies_base(n)
-        if tag is not None:
-            return ProductCertificate(n, tag, ())
+    tag = qualifies_base(n)
+    if tag is not None:
+        return ProductCertificate(n, tag, ())
     for base in _divisors(n):
         if base == n:
             continue
@@ -194,19 +191,26 @@ class CoverageVerdict:
         return self.complement_prime or self.product_cert is not None
 
 
+def _check_order_fits(v: int, name: str) -> None:
+    """Orders must stay below 2**63, so that 2n+1 fits in 64 bits."""
+    if v >= 1 << 63:
+        raise ValueError(f"{name} must be below 2**63 so that 2n+1 fits in 64 bits, got {v}")
+
+
 def classify(n: int) -> CoverageVerdict:
     """Coverage verdict for odd n with 3 <= n < 2**63, so that 2n+1 fits in 64 bits."""
+    n = modnum._strict_int(n, "n")
     if n % 2 == 0 or n < 3:
         raise ValueError(f"need an odd n >= 3, got {n}")
-    if n >= 1 << 63:
-        raise ValueError(f"n must be below 2**63 so that 2n+1 fits in 64 bits, got {n}")
+    _check_order_fits(n, "n")
     return CoverageVerdict(n, product_certificate(n), modnum.is_prime(2 * n + 1))
 
 
 def enumerate_eligible(lo: int, hi: int) -> list[int]:
-    """Ascending odd n in [lo, hi] with 2n+1 prime, for 3 <= lo <= hi."""
+    """Ascending odd n in [lo, hi] with 2n+1 prime, for 3 <= lo <= hi < 2**63."""
     if not 3 <= lo <= hi:
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
+    _check_order_fits(hi, "hi")
     start = lo if lo % 2 else lo + 1
     return [n for n in range(start, hi + 1, 2) if modnum.is_prime(2 * n + 1)]
 
@@ -224,7 +228,7 @@ class NewValue:
 
 
 def enumerate_new_values(hi: int) -> list[NewValue]:
-    """All verdicts with is_new for odd n <= hi, tagged with their families.
+    """All verdicts with is_new for odd n <= hi < 2**63, tagged with their families.
 
     Families are descriptive metadata: n ≡ 3 (mod 4) (equivalently
     2n+1 ≡ 7 mod 8); n itself prime (a Sophie Germain prime); or n ≡ 1
@@ -234,7 +238,7 @@ def enumerate_new_values(hi: int) -> list[NewValue]:
     if hi < 3:
         raise ValueError(f"need hi >= 3, got {hi}")
     out = []
-    for n in enumerate_eligible(3, hi):
+    for n in enumerate_eligible(3, hi):  # rejects hi >= 2**63 before any work
         verdict = classify(n)
         if not verdict.is_new:
             continue

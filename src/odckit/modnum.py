@@ -11,6 +11,7 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 
 _WORD_LIMIT = 1 << 64
 
@@ -19,6 +20,15 @@ _WORD_LIMIT = 1 << 64
 _SPRP_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10**6
+
+
+def _strict_int(v: int, what: str) -> int:
+    """v as a plain int, numpy's through operator.index; bools, floats and strings raise."""
+    if type(v) is int:
+        return v
+    if isinstance(v, bool) or not hasattr(v, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return operator.index(v)
 
 
 def is_prime(v: int) -> bool:
@@ -125,11 +135,6 @@ def is_primitive_root(g: int, p: int) -> bool:
     """True when g generates the multiplicative group modulo the prime p."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    return _is_primitive_root(g, p)
-
-
-def _is_primitive_root(g: int, p: int) -> bool:
-    """is_primitive_root for a modulus the caller has already found prime."""
     g %= p
     if g == 0:
         return False

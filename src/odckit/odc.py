@@ -5,6 +5,9 @@ properties: every edge of K_n lies in exactly two member paths (double
 cover), and every unordered pair of members shares exactly one edge
 (orthogonality).  A terrace whose m same-length edge pairs realise every
 canonical distance 1..m is a starter: its n translates form an ODC.
+_pair_distances is the package's one starter scan: is_odc_starter (and so
+the construction) and the search's leaf and multiplier-image checks all
+run it, each once per path.
 
 verify_odc counts every edge occurrence and every pairwise intersection
 directly from the vertex data; nothing is inferred from how a collection was
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import pathcore
 from .pathcore import VertexPath
 
 if TYPE_CHECKING:
@@ -72,24 +74,43 @@ class DistanceProfile:
     assignment: Mapping[int, int]
 
 
+def _pair_distances(vs: Sequence[int], n: int) -> list[int] | None:
+    """The package's one starter scan, on the raw vertices of a Hamiltonian path.
+
+    Returns the distance of each length ell's edge pair at index ell - 1, or
+    None when a length occurs thrice (not a terrace; with 2m edges and no
+    length thrice, every length occurs twice).  The path is a starter
+    exactly when the list sorts to 1..m.  Translating an edge {x, y} by k
+    moves its midpoint (x+y)/2 by k, so a pair's distance is the difference
+    of its midpoints; distinct edges of one length have distinct midpoints.
+    """
+    m = (n - 1) // 2
+    half = m + 1  # the inverse of 2 mod n
+    first = [-1] * (m + 1)  # x + y of each length's first edge
+    dist = [0] * (m + 1)
+    for x, y in zip(vs, vs[1:]):
+        d = (y - x) % n
+        ell = d if 2 * d < n else n - d
+        if first[ell] < 0:
+            first[ell] = x + y
+        elif dist[ell]:
+            return None
+        else:
+            k = (x + y - first[ell]) * half % n
+            dist[ell] = k if 2 * k < n else n - k
+    return dist[1:]
+
+
 def is_odc_starter(path: VertexPath) -> tuple[bool, DistanceProfile | None]:
     """Starter test: a terrace whose pair distances are a bijection onto [1, m].
 
     Returns (False, None) when the path is not a terrace; otherwise the
     profile comes back whether or not the distance map is bijective.
     """
-    ok, lengths = pathcore.is_terrace(path)
-    if not ok:
+    dist = _pair_distances(path.vertices, path.n)
+    if dist is None:
         return False, None
-    n = path.n
-    vs = path.vertices
-    assignment = {}
-    for ell, ps in lengths.positions.items():
-        i, j = ps
-        assignment[ell] = edge_distance(n, (vs[i], vs[i + 1]), (vs[j], vs[j + 1]))
-    profile = DistanceProfile(n, assignment)
-    starter = sorted(assignment.values()) == list(range(1, path.m + 1))
-    return starter, profile
+    return sorted(dist) == list(range(1, path.m + 1)), DistanceProfile(path.n, dict(enumerate(dist, 1)))
 
 
 class OdcCollection:

@@ -20,26 +20,17 @@ from fixture files need no trusted metadata.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .modnum import _strict_int
+
 
 def _strict_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """values as a tuple of plain ints; bools, floats and strings raise ValueError.
-
-    Integer types such as numpy's are converted with operator.index.
-    """
+    """values as plain ints by modnum._strict_int, after one C-level scan of the types."""
     vs = tuple(values)
     if set(map(type, vs)) != {int}:
-        for v in vs:
-            if isinstance(v, bool):
-                raise ValueError(f"{what} must be integers, got {v!r}")
-            try:
-                operator.index(v)
-            except TypeError:
-                raise ValueError(f"{what} must be integers, got {v!r}") from None
-        vs = tuple(map(operator.index, vs))
+        vs = tuple(_strict_int(v, what) for v in vs)
     return vs
 
 
@@ -50,7 +41,7 @@ class VertexPath:
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vs = _strict_ints(self.vertices, "vertices")
+        vs = _strict_ints(self.vertices, "every vertex")
         object.__setattr__(self, "vertices", vs)
         n = len(vs)
         if n < 3 or n % 2 == 0:
@@ -150,7 +141,7 @@ class DirectedTerrace:
     sequencing: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        es = _strict_ints(self.entries, "entries")
+        es = _strict_ints(self.entries, "every entry")
         object.__setattr__(self, "entries", es)
         k = len(es)
         if k < 6 or k % 2:

@@ -3,9 +3,8 @@
 The tree fixes vertex 0 first and extends one unused vertex at a time in
 ascending order, so results come out in a deterministic lexicographic order.
 The default cut is sound: a third occurrence of any edge length can never
-lead to a terrace.  Full-length survivors get the search's own distance
-test, and everything emitted is re-verified through the odc module; a
-disagreement between the two routes is a defect.
+lead to a terrace.  Each full-length path goes once through odc's starter
+scan, the package's only one.
 
 Only one subtree per orbit of the second vertex under the units of Z_n is
 searched.  For a unit a, x -> a*x fixes 0 and sends edge length l to +-a*l
@@ -16,11 +15,13 @@ starting (0, d) node for node onto the subtree starting (0, a*d), because
 both cuts look only at how often each length occurs and which distances are
 taken, and it maps starters to starters.  The second vertices t with
 gcd(t, n) = d form one orbit, so the search explores the subtree of each
-divisor d < n of n; every other subtree gets the representative's node count
-and its full-length survivors mapped by a unit a with a*d = t (mod n), then
-sorted.  Results and nodes_explored are those of the unquotiented tree.
-When a limit would be reached inside a mapped subtree, that subtree is
-searched directly, so the stop and the node count stay exact.
+divisor d < n of n, with the scan as its leaf filter; every other subtree
+gets the representative's node count and its starters mapped by a unit a
+with a*d = t (mod n), then sorted, and the scan runs on each image as a
+check that cannot fail (RuntimeError if it does).  Results and
+nodes_explored are those of the unquotiented tree.  When a limit would be
+reached inside a mapped subtree, that subtree is searched directly, so the
+stop and the node count stay exact.
 
 With canonicalisation on, exactly one representative per equivalence class
 under translation and reversal is kept: the lexicographically least member
@@ -59,12 +60,17 @@ class SearchConfig:
     prune: PruneLevel = PruneLevel.LENGTHS
 
     def __post_init__(self) -> None:
+        # bools and floats raise ValueError; other integer types become plain ints
+        object.__setattr__(self, "n", modnum._strict_int(self.n, "n"))
+        object.__setattr__(self, "ceiling", modnum._strict_int(self.ceiling, "ceiling"))
         if self.n % 2 == 0 or self.n < 3:
             raise ValueError(f"search order must be odd and >= 3, got {self.n}")
         if self.n > self.ceiling:
             raise ValueError(f"order {self.n} above the search ceiling {self.ceiling}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be positive, got {self.limit}")
+        if self.limit is not None:
+            object.__setattr__(self, "limit", modnum._strict_int(self.limit, "limit"))
+            if self.limit < 1:
+                raise ValueError(f"limit must be positive, got {self.limit}")
 
 
 @dataclass(frozen=True)
@@ -83,52 +89,15 @@ def canonical_form(path: VertexPath) -> VertexPath:
     direction); the lexicographically smaller one is canonical.
     """
     n = path.n
-    vs = path.vertices
-    fwd = tuple((v - vs[0]) % n for v in vs)
-    rev = tuple((v - vs[-1]) % n for v in reversed(vs))
-    return VertexPath(min(fwd, rev))
+    first = path.vertices[0]
+    return VertexPath(_canonical_tuple(tuple((v - first) % n for v in path.vertices), n))
 
 
 def _canonical_tuple(vs: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """canonical_form of a path that starts at vertex 0, on raw vertices."""
     last = vs[-1]
     rev = tuple((v - last) % n for v in reversed(vs))
     return min(vs, rev)
-
-
-def _distance_test(vs: tuple[int, ...], n: int, m: int) -> bool:
-    """The search's own starter test on a full-length path.
-
-    Inline re-derivation, kept independent of the odc module on purpose:
-    collect the two edge positions of every length, compute each pair's
-    translate, and demand m distinct canonical distances.
-    """
-    first = [-1] * (m + 1)
-    second = [-1] * (m + 1)
-    for pos in range(n - 1):
-        d = (vs[pos + 1] - vs[pos]) % n
-        ell = d if 2 * d < n else n - d
-        if first[ell] < 0:
-            first[ell] = pos
-        elif second[ell] < 0:
-            second[ell] = pos
-        else:
-            return False
-    seen = [False] * (m + 1)
-    for ell in range(1, m + 1):
-        i, j = first[ell], second[ell]
-        if j < 0:
-            return False
-        a1, b1 = vs[i], vs[i + 1]
-        a2, b2 = vs[j], vs[j + 1]
-        k = (a2 - a1) % n
-        if (b2 - b1) % n != k:
-            k = (b2 - a1) % n
-        if 2 * k > n:
-            k = n - k
-        if k == 0 or seen[k]:
-            return False
-        seen[k] = True
-    return True
 
 
 def _explore(n: int, second: int, prune: PruneLevel, on_leaf: Callable[[tuple[int, ...]], bool]) -> int:
@@ -218,29 +187,30 @@ def enumerate_starters(cfg: SearchConfig) -> SearchResult:
     that cannot extend to a terrace (a length already used twice) or to a
     bijective distance map (a distance already taken by a completed pair).
     Only the subtree of each unit-orbit representative is searched; the
-    others are its images under a multiplier (module docstring).  Every
-    emitted path passes the search's own distance test and is re-verified
-    via odc.is_odc_starter.
+    others are its images under a multiplier, each scanned once as a defect
+    check (module docstring).
     """
     n = cfg.n
-    m = (n - 1) // 2
     limit = cfg.limit
     start = time.perf_counter()
     found: list[tuple[int, ...]] = []
     nodes = 1  # the fixed vertex 0
+    scan = odc._pair_distances
+    all_distances = list(range(1, (n - 1) // 2 + 1))
+
+    def is_starter(vs: tuple[int, ...]) -> bool:
+        dist = scan(vs, n)
+        return dist is not None and sorted(dist) == all_distances
 
     def canonical(vs: tuple[int, ...]) -> bool:
         return not cfg.canonicalize or vs == _canonical_tuple(vs, n)
 
     def emit(vs: tuple[int, ...]) -> bool:
-        """Re-verify and store a kept path; True once the limit is reached."""
-        ok, _ = odc.is_odc_starter(VertexPath(vs))
-        if not ok:
-            raise RuntimeError(f"defect: search and odc starter tests disagree on {vs}")
+        """Store a kept starter; True once the limit is reached."""
         found.append(vs)
         return len(found) == limit
 
-    # representative d -> (its full-length paths passing the distance test, its nodes)
+    # representative d -> (its full-length starters, its nodes)
     subtrees: dict[int, tuple[list[tuple[int, ...]], int]] = {}
     for t in range(1, n):
         d = gcd(t, n)
@@ -248,7 +218,7 @@ def enumerate_starters(cfg: SearchConfig) -> SearchResult:
             survivors: list[tuple[int, ...]] = []
 
             def on_leaf(vs: tuple[int, ...]) -> bool:
-                if not _distance_test(vs, n, m):
+                if not is_starter(vs):
                     return False
                 survivors.append(vs)
                 return canonical(vs) and emit(vs)
@@ -262,16 +232,19 @@ def enumerate_starters(cfg: SearchConfig) -> SearchResult:
             survivors, sub_nodes = subtrees[d]
             a = next(a for a in range(1, n) if gcd(a, n) == 1 and a * d % n == t)
             mapped = sorted(tuple(a * v % n for v in vs) for vs in survivors)
-            kept = [vs for vs in mapped if _distance_test(vs, n, m) and canonical(vs)]
+            kept = [vs for vs in mapped if canonical(vs)]
             if limit is not None and len(found) + len(kept) >= limit:
                 # the stop falls inside this subtree: search it for the exact node count
-                nodes += _explore(
-                    n, t, cfg.prune, lambda vs: _distance_test(vs, n, m) and canonical(vs) and emit(vs)
-                )
+                nodes += _explore(n, t, cfg.prune, lambda vs: is_starter(vs) and canonical(vs) and emit(vs))
                 break
             nodes += sub_nodes
-            for vs in kept:
-                emit(vs)
+            for vs in mapped:
+                if not is_starter(vs):
+                    raise RuntimeError(
+                        f"internal defect (n={n}): {vs}, the image of a starter under x -> {a}*x, "
+                        "fails the starter scan"
+                    )
+            found.extend(kept)
 
     starters = tuple(VertexPath(vs) for vs in found)
     return SearchResult(starters, nodes, time.perf_counter() - start)

@@ -59,28 +59,33 @@ def naive_distance_set(n: int, e1: tuple[int, int], e2: tuple[int, int]) -> set[
     return out
 
 
-def starter_by_injectivity(vertices: tuple[int, ...]) -> bool:
-    """Starter test by injectivity: every length 1..m occurs exactly twice and
-    the m same-length edge pairs sit at pairwise distinct distances.
-
-    A terrace has exactly m same-length pairs and distances lie in [1, m], so
-    injectivity is equivalent to the bijectivity that odc.is_odc_starter
-    tests.  Lengths are recounted here and distances found by translate scan.
-    """
+def distance_profile_oracle(vertices: tuple[int, ...]) -> dict[int, int] | None:
+    """Length -> distance of its two edges, or None unless every length 1..m
+    occurs exactly twice.  Lengths are recounted here and each distance is
+    found by translate scan."""
     n = len(vertices)
     by_length: dict[int, list[tuple[int, int]]] = {}
     for x, y in zip(vertices, vertices[1:]):
         d = (y - x) % n
         by_length.setdefault(min(d, n - d), []).append((x, y))
     if any(len(by_length.get(ell, ())) != 2 for ell in range(1, (n - 1) // 2 + 1)):
-        return False
-    seen = set()
-    for e1, e2 in by_length.values():
-        (k,) = naive_distance_set(n, e1, e2)
-        if k in seen:
-            return False
-        seen.add(k)
-    return True
+        return None
+    out = {}
+    for ell, (e1, e2) in by_length.items():
+        (out[ell],) = naive_distance_set(n, e1, e2)
+    return out
+
+
+def starter_by_injectivity(vertices: tuple[int, ...]) -> bool:
+    """Starter test by injectivity: every length 1..m occurs exactly twice and
+    the m same-length edge pairs sit at pairwise distinct distances.
+
+    A terrace has exactly m same-length pairs and distances lie in [1, m], so
+    injectivity is equivalent to the bijectivity that odc.is_odc_starter
+    tests.
+    """
+    profile = distance_profile_oracle(vertices)
+    return profile is not None and len(set(profile.values())) == len(profile)
 
 
 def reference_enumerate(
@@ -255,16 +260,13 @@ def oracle_cofactor_ok(b: int) -> bool:
     return False
 
 
-def oracle_product_covered(n: int, allow_trivial_cofactor: bool = True) -> bool:
+def oracle_product_covered(n: int) -> bool:
     """Brute force over every split n = a * b with a a qualifying base."""
     for a in range(1, n + 1):
         if n % a:
             continue
         if a % 2 == 0 or not oracle_base_ok(a):
             continue
-        b = n // a
-        if b == 1 and not allow_trivial_cofactor:
-            continue
-        if oracle_cofactor_ok(b):
+        if oracle_cofactor_ok(n // a):
             return True
     return False

@@ -48,6 +48,13 @@ class TestConstruct:
         assert code == 2
         assert "primitive root" in err
 
+    @pytest.mark.parametrize("root", ["23", "38"])
+    def test_bad_root_names_the_given_value(self, capsys, root):
+        # 23 = 4 and 38 = 0 (mod 19); the message keeps the value as given
+        code, _, err = run(capsys, "construct", "--n", "9", "--root", root)
+        assert code == 2
+        assert f"error: {root} is not a primitive root of 19" in err
+
     def test_machine_document(self, capsys):
         code, doc, _ = machine_doc(capsys, "construct", "--n", "9", "--emit", "all")
         assert code == 0

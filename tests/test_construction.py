@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from helpers import multiplicative_order, power_table_logs, sieve_primes, witness_oracle
 
@@ -29,6 +30,17 @@ class TestEligibility:
     def test_modulus(self):
         assert construction.eligibility_modulus(9) == 19
         assert construction.eligibility_modulus(15) == 31
+
+    @pytest.mark.parametrize(("n", "named"), [(9.0, "9.0"), (True, "True")])
+    def test_rejects_non_integers_naming_the_value(self, n, named):
+        for call in (construction.eligibility_modulus, construction.build_starter):
+            with pytest.raises(ValueError, match=f"got {named}$") as excinfo:
+                call(n)
+            assert not isinstance(excinfo.value, NotEligibleError)
+
+    def test_numpy_integer_accepted(self):
+        p = construction.eligibility_modulus(np.int64(9))
+        assert (p, type(p)) == (19, int)
 
 
 class TestLogSequence:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from helpers import oracle_product_covered, sieve_primes
 
@@ -15,7 +16,6 @@ from odckit.coverage import (
     classify,
     enumerate_eligible,
     enumerate_new_values,
-    product_certificate,
     qualifies_base,
     qualifies_prime_power,
 )
@@ -130,6 +130,16 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(1)
 
+    @pytest.mark.parametrize(("n", "named"), [(9.0, "9.0"), (True, "True"), ("9", "'9'")])
+    def test_rejects_non_integers_naming_the_value(self, n, named):
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            classify(n)
+
+    def test_numpy_integer_becomes_plain_int(self):
+        v = classify(np.int64(9))
+        assert type(v.n) is int
+        assert v == classify(9)
+
     @pytest.mark.parametrize("n", [(1 << 63) + 1, (1 << 64) - 1, (1 << 64) + 1])
     def test_rejects_orders_whose_complement_overflows(self, n):
         with pytest.raises(ValueError, match=str(n)):
@@ -161,11 +171,6 @@ class TestOracleAgreement:
         for n in range(3, 1501, 2):
             assert (classify(n).product_cert is not None) == oracle_product_covered(n), n
 
-    def test_nontrivial_cofactor_variant(self):
-        for n in range(3, 1501, 2):
-            mine = product_certificate(n, allow_trivial_cofactor=False) is not None
-            assert mine == oracle_product_covered(n, allow_trivial_cofactor=False), n
-
 
 class TestEnumerations:
     def test_eligible_range(self):
@@ -180,6 +185,16 @@ class TestEnumerations:
             enumerate_eligible(5, 3)
         with pytest.raises(ValueError):
             enumerate_eligible(1, 10)
+
+    def test_ranges_above_the_64_bit_bound_name_hi(self):
+        top = (1 << 63) - 1  # the largest order whose 2n+1 fits in 64 bits
+        assert enumerate_eligible(top - 2, top) == [
+            n for n in (top - 2, top) if modnum.is_prime(2 * n + 1)
+        ]
+        with pytest.raises(ValueError, match=f"hi must be below 2\\*\\*63.*got {top + 4}$"):
+            enumerate_eligible(top - 2, top + 4)
+        with pytest.raises(ValueError, match=f"hi must be below 2\\*\\*63.*got {top + 1}$"):
+            enumerate_new_values(top + 1)
 
     def test_new_values_to_23(self):
         new = enumerate_new_values(23)

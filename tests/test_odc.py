@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import naive_distance_set, oracle_verify, starter_by_injectivity
+from helpers import distance_profile_oracle, naive_distance_set, oracle_verify, starter_by_injectivity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +94,23 @@ class TestStarterScan:
         assert not ok
         assert profile is not None
         assert dict(profile.assignment) == {1: 1, 2: 1, 3: 1}
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_every_path_from_zero_matches_the_oracle(self, n):
+        # 6! and 8! paths: non-terraces, terraces that are not starters, starters
+        kinds = Counter()
+        for rest in itertools.permutations(range(1, n)):
+            vs = (0, *rest)
+            ok, profile = odc.is_odc_starter(VertexPath(vs))
+            want = distance_profile_oracle(vs)
+            starter = want is not None and sorted(want.values()) == list(range(1, n // 2 + 1))
+            assert ok == starter, vs
+            assert (profile is None) == (want is None), vs
+            if profile is not None:
+                assert profile.n == n
+                assert dict(profile.assignment) == want, vs
+            kinds[want is not None, starter] += 1
+        assert len(kinds) == (2 if n == 7 else 3)  # Z_7 has no starter
 
     @given(small_paths())
     @settings(max_examples=200, deadline=None)

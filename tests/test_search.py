@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 from helpers import reference_enumerate
 from hypothesis import given, settings
@@ -35,6 +37,19 @@ class TestConfig:
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             SearchConfig(n=5, limit=0)
+
+    @pytest.mark.parametrize(
+        ("kwargs", "named"),
+        [({"n": 9.0}, "9.0"), ({"n": 9, "limit": True}, "True"), ({"n": 9, "ceiling": 17.0}, "17.0")],
+    )
+    def test_rejects_non_integers_naming_the_value(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            SearchConfig(**kwargs)
+
+    def test_numpy_integers_become_plain_ints(self):
+        cfg = SearchConfig(n=np.int64(9), limit=np.int32(2), ceiling=np.int16(11))
+        assert (cfg.n, cfg.limit, cfg.ceiling) == (9, 2, 11)
+        assert {type(v) for v in (cfg.n, cfg.limit, cfg.ceiling)} == {int}
 
 
 class TestSmallOrders:
@@ -148,6 +163,34 @@ class TestMultiplierQuotient:
         assert len(res.starters) == 11_256
         assert res.nodes_explored == 16_978_837
         assert elapsed < 12.0
+
+
+class TestOneScanPerPath:
+    """Each emitted starter goes through odc's starter scan exactly once."""
+
+    @pytest.mark.parametrize(
+        ("canonicalize", "limit"), [(True, None), (False, None), (False, 40)]
+    )  # limit 40 stops inside the mapped subtree (0, 5, ...), which is then searched directly
+    def test_each_emitted_starter_is_scanned_once(self, monkeypatch, canonicalize, limit):
+        scan = odc._pair_distances
+        calls = Counter()
+
+        def counting_scan(vs, n):
+            calls[tuple(vs)] += 1
+            return scan(vs, n)
+
+        monkeypatch.setattr(odc, "_pair_distances", counting_scan)
+        res = enumerate_starters(SearchConfig(n=9, canonicalize=canonicalize, limit=limit))
+        assert res.starters
+        assert {calls[vs] for vs in starter_tuples(res)} == {1}
+
+    def test_an_image_failing_the_scan_is_a_defect(self, monkeypatch):
+        # searched subtrees start (0, d) with d dividing n; every other path is
+        # a multiplier image, and the forced scan rejects all of them
+        scan = odc._pair_distances
+        monkeypatch.setattr(odc, "_pair_distances", lambda vs, n: scan(vs, n) if n % vs[1] == 0 else None)
+        with pytest.raises(RuntimeError, match=r"n=9\): \(0, 2, .*the image of a starter under x -> 2\*x"):
+            enumerate_starters(SearchConfig(n=9))
 
 
 class TestCanonicalForm:
