@@ -208,6 +208,8 @@ def classify(n: int) -> CoverageVerdict:
 
 def enumerate_eligible(lo: int, hi: int) -> list[int]:
     """Ascending odd n in [lo, hi] with 2n+1 prime, for 3 <= lo <= hi < 2**63."""
+    lo = modnum._strict_int(lo, "lo")
+    hi = modnum._strict_int(hi, "hi")
     if not 3 <= lo <= hi:
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
     _check_order_fits(hi, "hi")
@@ -235,6 +237,7 @@ def enumerate_new_values(hi: int) -> list[NewValue]:
     (mod 4) and a product of an even number of distinct primes, all ≡ 3
     (mod 4).  A value may belong to several families, or to none.
     """
+    hi = modnum._strict_int(hi, "hi")
     if hi < 3:
         raise ValueError(f"need hi >= 3, got {hi}")
     out = []

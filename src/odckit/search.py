@@ -6,6 +6,11 @@ The default cut is sound: a third occurrence of any edge length can never
 lead to a terrace.  Each full-length path goes once through odc's starter
 scan, the package's only one.
 
+The kernel, _explore, passes the unused vertices down as an ascending tuple,
+so a node tries only those, and takes edge lengths from a table built once.
+Each call returns its own placement count instead of updating shared state,
+and the last vertex of a path is placed in its parent's loop, not by a call.
+
 Only one subtree per orbit of the second vertex under the units of Z_n is
 searched.  For a unit a, x -> a*x fixes 0 and sends edge length l to +-a*l
 and pair distance k to +-a*k, both permutations of 1..m: the multiplier
@@ -63,6 +68,8 @@ class SearchConfig:
         # bools and floats raise ValueError; other integer types become plain ints
         object.__setattr__(self, "n", modnum._strict_int(self.n, "n"))
         object.__setattr__(self, "ceiling", modnum._strict_int(self.ceiling, "ceiling"))
+        if type(self.canonicalize) is not bool:
+            raise ValueError(f"canonicalize must be a bool, got {self.canonicalize!r}")
         if self.n % 2 == 0 or self.n < 3:
             raise ValueError(f"search order must be odd and >= 3, got {self.n}")
         if self.n > self.ceiling:
@@ -107,77 +114,76 @@ def _explore(n: int, second: int, prune: PruneLevel, on_leaf: Callable[[tuple[in
     lexicographic order; on_leaf sees every full-length path and returns
     True to stop the search.  Returns the vertex placements performed,
     second's included.
+
+    The inner dfs returns the placements below its node, negated once
+    on_leaf has stopped the search, so a stop unwinds without restoring
+    state.  A same-length pair's distance is half the difference of its
+    endpoint sums (as in odc._pair_distances), so the DISTANCES cut keeps
+    the endpoint sum of each length's first edge.
     """
+    if n == 3:
+        # (0, second, 3 - second): both edges have length 1 and distance 1, which no cut rejects
+        on_leaf((0, second, 3 - second))
+        return 2
     m = (n - 1) // 2
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    ell = [[min((v - u) % n, (u - v) % n) for v in range(n)] for u in range(n)]
+    # distance of two same-length edges whose endpoint sums differ by s (mod n)
+    pair_distance = [ell[0][s * half % n] for s in range(n)]
+    cap = n if prune is PruneLevel.NONE else 2  # a length held cap times cuts; none is held n times
+    cut_distances = prune is PruneLevel.DISTANCES
+    counts = [0] * (m + 1)
+    sums = [0] * (m + 1)  # endpoint sum of each length's first edge, for the DISTANCES cut
+    taken = [False] * (m + 1)  # distances of completed pairs; index 0 is never a real one
+    counts[ell[0][second]] = 1
+    sums[ell[0][second]] = second
     path = [0] * n
     path[1] = second
-    depth = 2
-    used = [False] * n
-    used[0] = used[second] = True
-    counts = [0] * (m + 1)
-    counts[min(second, n - second)] = 1
-    # Distance bookkeeping, active only for the DISTANCES cut.
-    first_pos = [-1] * (m + 1)
-    first_pos[min(second, n - second)] = 0
-    pair_dist = [0] * (m + 1)
-    dist_used = [False] * (m + 1)
+    penult = n - 2
 
-    prune_lengths = prune in (PruneLevel.LENGTHS, PruneLevel.DISTANCES)
-    prune_distances = prune is PruneLevel.DISTANCES
-
-    nodes = 1  # the second vertex
-    stop = False
-
-    def dfs() -> None:
-        nonlocal depth, nodes, stop
-        if depth == n:
-            stop = on_leaf(tuple(path))
-            return
-        prev = path[depth - 1]
-        for v in range(1, n):
-            if used[v]:
-                continue
-            d = (v - prev) % n
-            ell = d if 2 * d < n else n - d
-            c = counts[ell]
-            if prune_lengths and c == 2:
+    def dfs(depth: int, prev: int, free: tuple[int, ...]) -> int:
+        """Placements below path[:depth], whose unused vertices (two or more) are free."""
+        row = ell[prev]
+        nodes = 0
+        for i, v in enumerate(free):
+            length = row[v]
+            c = counts[length]
+            if c == cap:
                 continue
             k = 0
-            if prune_distances and c == 1:
-                p1 = first_pos[ell]
-                a1, b1 = path[p1], path[p1 + 1]
-                k = (prev - a1) % n
-                if (v - b1) % n != k:
-                    k = (v - a1) % n
-                if 2 * k > n:
-                    k = n - k
-                if dist_used[k]:
-                    continue
-            used[v] = True
+            if cut_distances:
+                if c:
+                    k = pair_distance[(prev + v - sums[length]) % n]
+                    if taken[k]:
+                        continue
+                    taken[k] = True
+                else:
+                    sums[length] = prev + v
             path[depth] = v
-            counts[ell] = c + 1
-            if prune_distances:
-                if c == 0:
-                    first_pos[ell] = depth - 1
-                elif c == 1:
-                    pair_dist[ell] = k
-                    dist_used[k] = True
-            depth += 1
             nodes += 1
-            dfs()
-            depth -= 1
-            if prune_distances:
-                if c == 0:
-                    first_pos[ell] = -1
-                elif c == 1:
-                    dist_used[pair_dist[ell]] = False
-            counts[ell] = c
-            used[v] = False
-            if stop:
-                return
+            if depth == penult:
+                # the last vertex; v's edge is not in counts, so it is added here
+                w = free[1 - i]
+                last_length = ell[v][w]
+                held = counts[last_length] + (last_length == length)
+                if held != cap and not (
+                    cut_distances and held and taken[pair_distance[(v + w - sums[last_length]) % n]]
+                ):
+                    nodes += 1
+                    path[-1] = w
+                    if on_leaf(tuple(path)):
+                        return -nodes
+            else:
+                counts[length] = c + 1
+                below = dfs(depth + 1, v, free[:i] + free[i + 1 :])
+                if below < 0:
+                    return below - nodes
+                nodes += below
+                counts[length] = c
+            taken[k] = False
+        return nodes
 
-    dfs()
-    return nodes
+    return 1 + abs(dfs(2, second, tuple(v for v in range(1, n) if v != second)))
 
 
 def enumerate_starters(cfg: SearchConfig) -> SearchResult:

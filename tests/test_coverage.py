@@ -196,6 +196,23 @@ class TestEnumerations:
         with pytest.raises(ValueError, match=f"hi must be below 2\\*\\*63.*got {top + 1}$"):
             enumerate_new_values(top + 1)
 
+    @pytest.mark.parametrize(
+        ("call", "named"),
+        [
+            (lambda: enumerate_eligible(3.0, 9), "lo must be an integer, got 3.0"),
+            (lambda: enumerate_eligible(3, 9.0), "hi must be an integer, got 9.0"),
+            (lambda: enumerate_eligible(True, 9), "lo must be an integer, got True"),
+            (lambda: enumerate_new_values(23.0), "hi must be an integer, got 23.0"),
+        ],
+    )
+    def test_bounds_must_be_integers_named_by_value(self, call, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            call()
+
+    def test_numpy_integer_bounds_are_accepted(self):
+        assert enumerate_eligible(np.int64(3), np.int32(30)) == [3, 5, 9, 11, 15, 21, 23, 29]
+        assert [nv.verdict.n for nv in enumerate_new_values(np.int64(23))] == [23]
+
     def test_new_values_to_23(self):
         new = enumerate_new_values(23)
         assert [nv.verdict.n for nv in new] == [23]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from collections import Counter
 
@@ -14,6 +16,7 @@ from odckit.pathcore import VertexPath
 from odckit.search import (
     PruneLevel,
     SearchConfig,
+    _explore,
     canonical_form,
     compare_with_construction,
     enumerate_starters,
@@ -45,6 +48,11 @@ class TestConfig:
     def test_rejects_non_integers_naming_the_value(self, kwargs, named):
         with pytest.raises(ValueError, match=f"got {named}$"):
             SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_canonicalize_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match=f"canonicalize must be a bool, got {value!r}$"):
+            SearchConfig(n=9, canonicalize=value)
 
     def test_numpy_integers_become_plain_ints(self):
         cfg = SearchConfig(n=np.int64(9), limit=np.int32(2), ceiling=np.int16(11))
@@ -136,6 +144,43 @@ class TestSoundnessAndCompleteness:
         assert tuples == sorted(tuples)
 
 
+def collect(leaves, stop_at=None):
+    """An on_leaf that appends each leaf and stops at the stop_at-th."""
+
+    def on_leaf(vs):
+        leaves.append(vs)
+        return len(leaves) == stop_at
+
+    return on_leaf
+
+
+class TestKernel:
+    """_explore under PruneLevel.NONE against plain permutation counting."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_unpruned_subtree_is_every_permutation(self, n):
+        for t in range(1, n):
+            rest = [v for v in range(1, n) if v != t]
+            want = [(0, t, *q) for q in itertools.permutations(rest)]
+            leaves = []
+            nodes = _explore(n, t, PruneLevel.NONE, collect(leaves))
+            assert leaves == want
+            # the second vertex, then every partial arrangement of the n - 2 others
+            assert nodes == 1 + sum(math.perm(n - 2, j) for j in range(1, n - 1))
+
+    @pytest.mark.parametrize("k", [1, 2, 17])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_stop_at_kth_leaf_counts_its_prefixes(self, n, k):
+        for t in range(1, n):
+            rest = [v for v in range(1, n) if v != t]
+            first = list(itertools.islice(itertools.permutations(rest), k))
+            leaves = []
+            nodes = _explore(n, t, PruneLevel.NONE, collect(leaves, stop_at=k))
+            assert leaves == [(0, t, *q) for q in first]
+            # placements so far: the second vertex and each distinct prefix of the leaves seen
+            assert nodes == 1 + len({q[:j] for q in first for j in range(1, n - 1)})
+
+
 class TestMultiplierQuotient:
     """enumerate_starters maps subtrees by units of Z_n; the reference does not."""
 
@@ -153,6 +198,17 @@ class TestMultiplierQuotient:
         # every starter from 0, so each mapped subtree's paths are all compared
         res = enumerate_starters(SearchConfig(n=11, prune=level, canonicalize=False))
         want = reference_enumerate(11, level.value, False, None)
+        assert (starter_tuples(res), res.nodes_explored) == want
+
+    @pytest.mark.parametrize(
+        ("level", "limit"),
+        [(PruneLevel.LENGTHS, 150), (PruneLevel.DISTANCES, 150), (PruneLevel.DISTANCES, 500)],
+        ids=["lengths-150", "distances-150", "distances-500"],
+    )
+    def test_stop_inside_a_mapped_subtree_at_order_11(self, level, limit):
+        # each subtree (0, t, ...) holds 148 starters, so these stop inside t = 2 and t = 4
+        res = enumerate_starters(SearchConfig(n=11, prune=level, canonicalize=False, limit=limit))
+        want = reference_enumerate(11, level.value, False, limit)
         assert (starter_tuples(res), res.nodes_explored) == want
 
     def test_order_13_counts_within_budget(self):
@@ -229,6 +285,13 @@ class TestCompareWithConstruction:
         assert cmp.eligible
         assert cmp.all_found is True
         assert len(cmp.hits) == 6  # primitive roots of 19
+
+    def test_order_11(self):
+        cmp = compare_with_construction(11)
+        assert cmp.eligible
+        assert cmp.canonical_count == 740
+        assert len(cmp.hits) == 10  # phi(22) primitive roots of 23
+        assert cmp.all_found is True
 
     def test_ineligible_order_still_searches(self):
         cmp = compare_with_construction(7)
