@@ -31,13 +31,11 @@ from .coverage import (
     qualifies_prime_power,
 )
 from .modnum import (
-    discrete_log,
     discrete_log_table,
     factorize,
     find_primitive_root,
     is_prime,
     is_primitive_root,
-    mod_inverse,
     primitive_roots,
 )
 from .odc import (
@@ -45,22 +43,17 @@ from .odc import (
     OdcCollection,
     VerificationReport,
     Violation,
-    edge_distance,
     is_odc_starter,
     translates,
     verify_odc,
 )
 from .pathcore import (
     DirectedTerrace,
-    LengthProfile,
     VertexPath,
-    edge_length,
     edge_lengths,
     format_path,
-    format_paths,
     is_symmetric_directed_terrace,
     is_terrace,
-    length_profile,
     parse_paths,
     project_to_half,
 )
@@ -94,32 +87,25 @@ __all__ = [
     "enumerate_new_values",
     "qualifies_base",
     "qualifies_prime_power",
-    "discrete_log",
     "discrete_log_table",
     "factorize",
     "find_primitive_root",
     "is_prime",
     "is_primitive_root",
-    "mod_inverse",
     "primitive_roots",
     "DistanceProfile",
     "OdcCollection",
     "VerificationReport",
     "Violation",
-    "edge_distance",
     "is_odc_starter",
     "translates",
     "verify_odc",
     "DirectedTerrace",
-    "LengthProfile",
     "VertexPath",
-    "edge_length",
     "edge_lengths",
     "format_path",
-    "format_paths",
     "is_symmetric_directed_terrace",
     "is_terrace",
-    "length_profile",
     "parse_paths",
     "project_to_half",
     "ConstructionComparison",

@@ -175,11 +175,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok_all = True
     for idx, p in enumerate(paths):
         if args.mode == "terrace":
-            ok, profile = pathcore.is_terrace(p)
-            bad = [[ell, c] for ell, c in sorted(profile.counts.items()) if c != 2]
-            missing = [ell for ell in range(1, p.m + 1) if ell not in profile.counts]
-            bad.extend([ell, 0] for ell in missing)
-            rows.append({"index": idx, "ok": ok, "bad_length_counts": bad if not ok else []})
+            ok, counts = pathcore.is_terrace(p)
+            # lengths that occur a wrong number of times first, then the absent ones
+            bad = [[ell, c] for ell, c in enumerate(counts, 1) if c not in (0, 2)]
+            bad.extend([ell, 0] for ell, c in enumerate(counts, 1) if c == 0)
+            rows.append({"index": idx, "ok": ok, "bad_length_counts": bad})
         else:  # starter
             ok, profile = odc.is_odc_starter(p)
             row: dict[str, Any] = {"index": idx, "ok": ok}

@@ -106,13 +106,6 @@ class StarterInstance:
     def m(self) -> int:
         return (self.n - 1) // 2
 
-    def half_log(self, y: int) -> int:
-        """Discrete log of y mod 2n+1, reduced mod n."""
-        yy = y % self.modulus
-        if yy == 0:
-            raise ValueError("discrete log of 0 is undefined")
-        return self.log_table[yy] % self.n
-
 
 def build_starter(n: int, root: int | None = None) -> StarterInstance:
     """Construct the starter for odd n with 2n+1 prime.
@@ -216,7 +209,9 @@ def _witness(inst: StarterInstance, k: int, x: int) -> WitnessPair:
     d_j = e_j[1] - e_j[0]
     if min(d_i, n - d_i) != ell or min(d_j, n - d_j) != ell:
         raise _defect(inst, k, f"edges {e_i}, {e_j} do not share length {ell}")
-    if odc.edge_distance(n, e_i, e_j) != k:
+    # Translating an edge by k moves its midpoint by k, as in odc._pair_distances.
+    dist = (e_j[0] + e_j[1] - e_i[0] - e_i[1]) * ((n + 1) // 2) % n
+    if min(dist, n - dist) != k:
         raise _defect(inst, k, f"edges {e_i}, {e_j} are not at distance {k}")
 
     return WitnessPair(k, x, u, i, j, e_i, e_j, ell, pos_i - 1, pos_j - 1)

@@ -65,6 +65,7 @@ def qualifies_base(a: int) -> FormTag | None:
     Match order: the three quadratic forms, then the sporadic list.  a = 1
     qualifies (half-square-plus with k = 1), covering trivial decompositions.
     """
+    a = modnum._strict_int(a, "base order")
     if a < 1:
         raise ValueError(f"base order must be positive, got {a}")
     if a % 2 == 0:
@@ -77,7 +78,7 @@ def qualifies_base(a: int) -> FormTag | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 5.0 must miss an equal numpy integer's entry
 def qualifies_prime_power(q: int) -> FormTag | None:
     """Tag for a prime power usable as an expansion factor; None otherwise.
 
@@ -85,6 +86,7 @@ def qualifies_prime_power(q: int) -> FormTag | None:
     (first match); otherwise one of the three quadratic forms must hold.
     Raises for arguments that are not prime powers.
     """
+    q = modnum._strict_int(q, "q")
     factors = modnum.factorize(q)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")

@@ -1,7 +1,7 @@
 """Exact modular arithmetic over word-sized integers.
 
-Primality, factorization, primitive roots, discrete logarithms and modular
-inverses, sized for moduli that fit in 64 bits.  Everything is deterministic:
+Primality, factorization, primitive roots and discrete-log tables, sized
+for moduli that fit in 64 bits.  Everything is deterministic:
 primality uses a fixed strong-probable-prime witness set that is exact for the
 whole 64-bit range, and factorization falls back from trial division to a
 Brent-cycle splitter with a fixed parameter sweep.  All functions are pure and
@@ -33,6 +33,7 @@ def _strict_int(v: int, what: str) -> int:
 
 def is_prime(v: int) -> bool:
     """Exact primality test for 0 <= v < 2**64."""
+    v = _strict_int(v, "v")
     if v < 0 or v >= _WORD_LIMIT:
         raise ValueError(f"is_prime expects 0 <= v < 2**64, got {v}")
     if v < 2:
@@ -99,6 +100,7 @@ def factorize(v: int) -> list[tuple[int, int]]:
     factorize(1) == [].  Trial division up to 10**6 handles desk-scale
     inputs; anything left is split recursively with Brent's method.
     """
+    v = _strict_int(v, "v")
     if v < 1 or v >= _WORD_LIMIT:
         raise ValueError(f"factorize expects 1 <= v < 2**64, got {v}")
     counts: dict[int, int] = {}
@@ -133,6 +135,8 @@ def _distinct_prime_factors(v: int) -> list[int]:
 
 def is_primitive_root(g: int, p: int) -> bool:
     """True when g generates the multiplicative group modulo the prime p."""
+    g = _strict_int(g, "g")
+    p = _strict_int(p, "p")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     g %= p
@@ -169,39 +173,6 @@ def primitive_roots(p: int) -> list[int]:
     return sorted(pow(g, e, p) for e in range(1, order) if math.gcd(e, order) == 1)
 
 
-def discrete_log(g: int, y: int, p: int) -> int:
-    """The exponent c in [0, p-2] with g**c == y (mod p).
-
-    Baby-step/giant-step, so each query costs about sqrt(p) work; use
-    discrete_log_table when every value mod p is needed anyway.  Raises for
-    y divisible by p, and for y outside the subgroup generated by g (which
-    cannot happen when g is a primitive root).
-    """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    y %= p
-    if y == 0:
-        raise ValueError("discrete log of 0 is undefined")
-    g %= p
-    order = p - 1
-    m = math.isqrt(order - 1) + 1 if order > 1 else 1
-    baby: dict[int, int] = {}
-    acc = 1
-    for j in range(m):
-        baby.setdefault(acc, j)
-        acc = acc * g % p
-    giant = pow(acc, p - 2, p)  # g**(-m)
-    cur = y
-    for i in range(m + 1):
-        j = baby.get(cur)
-        if j is not None:
-            c = (i * m + j) % order if order > 1 else 0
-            if pow(g, c, p) == y:
-                return c
-        cur = cur * giant % p
-    raise ValueError(f"{y} is not a power of {g} modulo {p}")
-
-
 def discrete_log_table(g: int, p: int) -> list[int]:
     """Full discrete-log table base g mod the prime p, one multiply per entry.
 
@@ -209,6 +180,8 @@ def discrete_log_table(g: int, p: int) -> list[int]:
     a -1 sentinel.  Raises when g is not a primitive root (its powers repeat
     before covering every residue).
     """
+    g = _strict_int(g, "g")
+    p = _strict_int(p, "p")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return _discrete_log_table(g, p)
@@ -228,9 +201,3 @@ def _discrete_log_table(g: int, p: int) -> list[int]:
         acc = acc * g % p
     return logs
 
-
-def mod_inverse(a: int, p: int) -> int:
-    """The inverse of a modulo p, in [1, p-1]; a must not be divisible by p."""
-    if a % p == 0:
-        raise ValueError(f"{a} has no inverse modulo {p}")
-    return pow(a, -1, p)

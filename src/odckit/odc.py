@@ -7,7 +7,8 @@ cover), and every unordered pair of members shares exactly one edge
 canonical distance 1..m is a starter: its n translates form an ODC.
 _pair_distances is the package's one starter scan: is_odc_starter (and so
 the construction) and the search's leaf and multiplier-image checks all
-run it, each once per path.
+run it, each once per path.  A pair's distance is the difference of its
+edges' midpoints, the identity the construction's witnesses check too.
 
 verify_odc counts every edge occurrence and every pairwise intersection
 directly from the vertex data; nothing is inferred from how a collection was
@@ -28,38 +29,6 @@ from .pathcore import VertexPath
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def edge_distance(n: int, e1: Sequence[int], e2: Sequence[int]) -> int:
-    """Canonical distance in [0, m] between two same-length edges of Z_n.
-
-    The distance is the translate k with {x1+k, y1+k} == e2 or
-    {x1-k, y1-k} == e2, canonicalised to min(k, n-k).  For odd n it is
-    unique, and it is 0 exactly when the edges coincide.  Raises when the
-    edges differ in length.
-    """
-    x1, y1 = e1
-    x2, y2 = e2
-    d1 = (y1 - x1) % n
-    d2 = (y2 - x2) % n
-    if d1 == 0 or d2 == 0:
-        raise ValueError("edge endpoints must be distinct")
-    if d2 != d1 and d2 != n - d1:
-        raise ValueError(f"edges {tuple(e1)} and {tuple(e2)} differ in length")
-    # k is the translate taking x1 -> x2 and y1 -> y2 when it exists, else c,
-    # the one taking x1 -> y2 and y1 -> x2.
-    k = (x2 - x1) % n
-    c = (y2 - x1) % n
-    crossed = (x2 - y1) % n == c
-    if (y2 - y1) % n == k:
-        unique = not crossed or min(c, n - c) == min(k, n - k)
-    else:
-        k, unique = c, crossed
-    if not unique:
-        # Unreachable for odd n with distinct endpoints; uniqueness is part
-        # of the contract, so a violation is a defect.
-        raise AssertionError(f"distance not unique for {tuple(e1)}, {tuple(e2)} in Z_{n}")
-    return k if 2 * k < n else n - k
 
 
 @dataclass(frozen=True)
@@ -182,12 +151,6 @@ class OdcCollection:
 
     def __len__(self) -> int:
         return self._n
-
-    def __getitem__(self, i: int) -> VertexPath:
-        return self.paths[i]
-
-    def __iter__(self):
-        return iter(self.paths)
 
 
 def translates(path: VertexPath) -> OdcCollection:

@@ -21,7 +21,7 @@ from fixture files need no trusted metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .modnum import _strict_int
 
@@ -58,27 +58,6 @@ class VertexPath:
         """Half-order m with n = 2m+1; lengths and distances live in [1, m]."""
         return (len(self.vertices) - 1) // 2
 
-    def translate(self, t: int) -> "VertexPath":
-        """The path with t added to every vertex mod n."""
-        n = self.n
-        return VertexPath(tuple((v + t) % n for v in self.vertices))
-
-    def reverse(self) -> "VertexPath":
-        return VertexPath(tuple(reversed(self.vertices)))
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The n-1 consecutive vertex pairs, in path order."""
-        vs = self.vertices
-        return tuple(zip(vs, vs[1:]))
-
-
-def edge_length(n: int, x: int, y: int) -> int:
-    """Canonical length min(d, n-d) of the edge {x, y} in Z_n, d = (y-x) mod n."""
-    d = (y - x) % n
-    if d == 0:
-        raise ValueError("edge endpoints must be distinct")
-    return min(d, n - d)
-
 
 def edge_lengths(path: VertexPath) -> tuple[int, ...]:
     """Canonical lengths of the n-1 edges, in path order; each lies in [1, m]."""
@@ -91,40 +70,12 @@ def edge_lengths(path: VertexPath) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LengthProfile:
-    """Where each canonical edge length occurs along a path.
-
-    positions maps a length to the 0-based edge positions realising it, in
-    path order; counts is the induced multiplicity map.  The multiplicities
-    always sum to n-1.
-    """
-
-    n: int
-    positions: Mapping[int, tuple[int, ...]]
-
-    @property
-    def counts(self) -> dict[int, int]:
-        return {ell: len(ps) for ell, ps in self.positions.items()}
-
-
-def length_profile(path: VertexPath) -> LengthProfile:
-    n = path.n
-    vs = path.vertices
-    by_length: list[list[int]] = [[] for _ in range(path.m + 1)]  # slot 0 stays empty
-    for pos, (a, b) in enumerate(zip(vs, vs[1:])):
-        d = (b - a) % n
-        by_length[d if 2 * d < n else n - d].append(pos)
-    return LengthProfile(n, {ell: tuple(ps) for ell, ps in enumerate(by_length) if ps})
-
-
-def is_terrace(path: VertexPath) -> tuple[bool, LengthProfile]:
-    """Whether every length 1..m occurs exactly twice; the profile comes back either way."""
-    profile = length_profile(path)
-    positions = profile.positions
-    # every length lies in 1..m, so m distinct lengths are all of them
-    ok = len(positions) == path.m and set(map(len, positions.values())) == {2}
-    return ok, profile
+def is_terrace(path: VertexPath) -> tuple[bool, list[int]]:
+    """Whether every length 1..m occurs exactly twice; counts[ell - 1] is how often ell occurs."""
+    counts = [0] * path.m
+    for ell in edge_lengths(path):
+        counts[ell - 1] += 1
+    return counts == [2] * path.m, counts
 
 
 @dataclass(frozen=True)
@@ -216,6 +167,3 @@ def format_path(path: VertexPath) -> str:
     """Fixture-format rendering: comma-separated vertex labels."""
     return ",".join(map(str, path.vertices))
 
-
-def format_paths(paths: Iterable[VertexPath]) -> str:
-    return "\n".join(format_path(p) for p in paths)

@@ -94,6 +94,24 @@ class TestVerify:
         assert code == 1
         assert "length 1 count=4" in out
 
+    def test_bad_terrace_report_order(self, capsys, tmp_path):
+        # wrongly counted lengths first, ascending; then the absent ones, ascending
+        f = tmp_path / "bad.txt"
+        f.write_text("0,2,4,6,1,3,5\n0,1,2,3,4\n")
+        code, out, _ = run(capsys, "verify", str(f), "--mode", "terrace")
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "path 0: FAIL not a terrace: length 2 count=6 length 1 count=0 length 3 count=0",
+            "path 1: FAIL not a terrace: length 1 count=4 length 2 count=0",
+        ]
+        code, doc, _ = machine_doc(capsys, "verify", str(f), "--mode", "terrace")
+        assert code == 1
+        assert doc["verified"] is False
+        assert [row["bad_length_counts"] for row in doc["result"]["paths"]] == [
+            [[2, 6], [1, 0], [3, 0]],
+            [[1, 4], [2, 0]],
+        ]
+
     def test_duplicated_path_cover_fails(self, capsys, tmp_path):
         f = tmp_path / "dup.txt"
         f.write_text("0,1,4,2,7,5,6,3,8\n" * 9)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
-from helpers import multiplicative_order, power_table_logs, sieve_primes, witness_oracle
+from helpers import multiplicative_order, naive_distance_set, power_table_logs, sieve_primes, witness_oracle
 
 from odckit import cli, construction, coverage, modnum, odc, pathcore
 from odckit.construction import NotEligibleError
@@ -112,9 +113,6 @@ class TestBuildStarter:
         assert inst.m == 4
         for i in range(1, inst.n + 1):
             assert inst.terrace.vertices[i - 1] == inst.log_table[i] % inst.n
-        assert inst.half_log(18) == inst.half_log(-1)
-        with pytest.raises(ValueError):
-            inst.half_log(19)
 
     def test_projection_equals_log_sequence_half(self):
         t = construction.log_sequence(9, 2)
@@ -168,10 +166,10 @@ class TestWitnesses:
         for k in range(1, inst.m + 1):
             w = construction.witness_pair(inst, k)
             assert w.x == pow(2, k, p)
-            assert w.u == (1 - w.x) * modnum.mod_inverse(1 + w.x, p) % p
-            assert w.i == modnum.mod_inverse(w.u - 1, p)
+            assert w.u == (1 - w.x) * pow(1 + w.x, -1, p) % p
+            assert w.i == pow(w.u - 1, -1, p)
             assert w.j == w.x * w.i % p
-            assert odc.edge_distance(inst.n, w.edge_i, w.edge_j) == k
+            assert naive_distance_set(inst.n, w.edge_i, w.edge_j) == {k}
 
     def test_k_bounds(self):
         inst = construction.build_starter(9)
@@ -231,6 +229,16 @@ class TestWitnesses:
         inst = dataclasses.replace(construction.build_starter(9, 2), **corrupt)
         with pytest.raises(RuntimeError, match=f"n=9, root=2, {named}\\)"):
             construction.witness_certificate(inst)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_distance_check_names_the_edges(self, k):
+        # x = root**2 derives the true distance-2 pair; claimed as any other
+        # k, that pair passes every check but the distance one
+        inst = construction.build_starter(9, 2)
+        w = construction.witness_pair(inst, 2)
+        msg = f"n=9, root=2, k={k}): edges {w.edge_i}, {w.edge_j} are not at distance {k}"
+        with pytest.raises(RuntimeError, match=f"^internal defect \\({re.escape(msg)}$"):
+            construction._witness(inst, k, w.x)
 
 
 class TestFullPipelineSmallSweep:

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from helpers import multiplicative_order, power_table_logs, sieve_primes
 
-from odckit import modnum
+from odckit import coverage, modnum
 
 PRIMES_10K = sieve_primes(10_000)
 PRIME_SET_10K = set(PRIMES_10K)
@@ -111,16 +112,18 @@ class TestPrimitiveRoots:
 
 
 class TestDiscreteLog:
+    """Single logs, read from the table (the library's one discrete-log route)."""
+
     def test_known_values(self):
-        assert modnum.discrete_log(2, 1, 19) == 0
-        assert modnum.discrete_log(2, 18, 19) == 9  # 18 == -1 and g**n == -1
-        assert modnum.discrete_log(3, 30, 31) == 15
+        assert modnum.discrete_log_table(2, 19)[1] == 0
+        assert modnum.discrete_log_table(2, 19)[18] == 9  # 18 == -1 and g**n == -1
+        assert modnum.discrete_log_table(3, 31)[30] == 15
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            modnum.discrete_log(2, 0, 19)
-        with pytest.raises(ValueError):
-            modnum.discrete_log(2, 38, 19)
+        # zero has no log: its slot holds the -1 sentinel, however it is written
+        logs = modnum.discrete_log_table(2, 19)
+        assert logs[0] == logs[38 % 19] == -1
+        assert min(logs[1:]) == 0
 
     def test_exhaustive_small_primes(self):
         for p in PRIMES_10K:
@@ -128,8 +131,9 @@ class TestDiscreteLog:
                 break
             g = modnum.find_primitive_root(p) if p > 2 else 1
             oracle = power_table_logs(g, p)
+            logs = modnum.discrete_log_table(g, p)
             for y in range(1, p):
-                c = modnum.discrete_log(g, y, p)
+                c = logs[y]
                 assert 0 <= c <= p - 2
                 assert c == oracle[y], (p, y)
 
@@ -138,14 +142,14 @@ class TestDiscreteLog:
             if p <= 500:
                 continue
             g = modnum.find_primitive_root(p)
+            logs = modnum.discrete_log_table(g, p)
             for y in range(1, p, max(1, p // 11)):
-                c = modnum.discrete_log(g, y, p)
-                assert pow(g, c, p) == y
+                assert pow(g, logs[y], p) == y
 
     def test_outside_subgroup_rejected(self):
-        # 4 generates only the squares mod 19; 2 is a non-residue
-        with pytest.raises(ValueError):
-            modnum.discrete_log(4, 2, 19)
+        # 4 generates only the squares mod 19, so its powers repeat before reaching 2
+        with pytest.raises(ValueError, match="^4 is not a primitive root of 19$"):
+            modnum.discrete_log_table(4, 19)
 
 
 class TestDiscreteLogTable:
@@ -176,22 +180,46 @@ class TestDiscreteLogTable:
             modnum.discrete_log_table(19, 19)
 
 
-class TestModInverse:
-    def test_known_values(self):
-        assert modnum.mod_inverse(1, 19) == 1
-        assert modnum.mod_inverse(5, 19) == 4
-        assert modnum.mod_inverse(3, 31) == 21
-        assert 3 * 21 % 31 == 1
+class TestStrictIntegers:
+    @pytest.mark.parametrize(
+        ("call", "named"),
+        [
+            (lambda: modnum.is_prime(7.0), "v must be an integer, got 7.0"),
+            (lambda: modnum.is_prime(True), "v must be an integer, got True"),
+            (lambda: modnum.factorize(12.0), "v must be an integer, got 12.0"),
+            (lambda: modnum.is_primitive_root(2, 19.0), "p must be an integer, got 19.0"),
+            (lambda: modnum.is_primitive_root(2.0, 19), "g must be an integer, got 2.0"),
+            (lambda: modnum.discrete_log_table(2, 19.0), "p must be an integer, got 19.0"),
+            (lambda: modnum.discrete_log_table(True, 19), "g must be an integer, got True"),
+            # an equal numpy integer is cached first, and 5.0 must not be served its entry
+            (
+                lambda: (coverage.qualifies_prime_power(np.int64(5)), coverage.qualifies_prime_power(5.0)),
+                "q must be an integer, got 5.0",
+            ),
+            (lambda: coverage.qualifies_base(True), "base order must be an integer, got True"),
+            (lambda: coverage.qualifies_base("9"), "base order must be an integer, got '9'"),
+        ],
+        ids=[
+            "is_prime-float",
+            "is_prime-bool",
+            "factorize-float",
+            "is_primitive_root-p",
+            "is_primitive_root-g",
+            "discrete_log_table-p",
+            "discrete_log_table-g",
+            "qualifies_prime_power-after-cache",
+            "qualifies_base-bool",
+            "qualifies_base-str",
+        ],
+    )
+    def test_rejects_non_integers_naming_the_value(self, call, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            call()
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            modnum.mod_inverse(0, 19)
-        with pytest.raises(ValueError):
-            modnum.mod_inverse(38, 19)
-
-    def test_inverse_property(self):
-        for p in (7, 19, 31, 101):
-            for a in range(1, p):
-                inv = modnum.mod_inverse(a, p)
-                assert 1 <= inv <= p - 1
-                assert a * inv % p == 1
+    def test_numpy_integers_are_accepted(self):
+        assert modnum.is_prime(np.int64(19)) is True
+        assert modnum.factorize(np.int32(12)) == [(2, 2), (3, 1)]
+        assert modnum.is_primitive_root(np.int64(2), np.int64(19))
+        assert modnum.discrete_log_table(np.int64(2), np.int16(19)) == modnum.discrete_log_table(2, 19)
+        assert coverage.qualifies_prime_power(np.int64(5)) == coverage.qualifies_prime_power(5)
+        assert coverage.qualifies_base(np.int64(9)) == coverage.qualifies_base(9)

@@ -34,38 +34,29 @@ def small_paths(max_n: int = 13):
 
 
 class TestEdgeDistance:
+    """A same-length pair's distance, as the starter scan finds it from the
+    difference of the two edges' midpoints."""
+
     def test_length_one_pair_in_k9(self):
-        assert odc.edge_distance(9, (0, 1), (5, 6)) == 4
+        # STARTER_9's length-1 edges are (0, 1) and (5, 6)
+        _, profile = odc.is_odc_starter(STARTER_9)
+        assert profile.assignment[1] == 4
+        assert naive_distance_set(9, (0, 1), (5, 6)) == {4}
 
     def test_length_two_pair_in_k9(self):
-        assert odc.edge_distance(9, (4, 2), (7, 5)) == 3
-
-    def test_identical_edges(self):
-        assert odc.edge_distance(9, (2, 7), (2, 7)) == 0
-        assert odc.edge_distance(9, (2, 7), (7, 2)) == 0
+        # and its length-2 edges are (4, 2) and (7, 5)
+        _, profile = odc.is_odc_starter(STARTER_9)
+        assert profile.assignment[2] == 3
+        assert naive_distance_set(9, (4, 2), (7, 5)) == {3}
 
     def test_orientation_does_not_matter(self):
-        assert odc.edge_distance(9, (1, 0), (5, 6)) == 4
-        assert odc.edge_distance(9, (0, 1), (6, 5)) == 4
-
-    def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError):
-            odc.edge_distance(9, (0, 1), (0, 2))
-
-    def test_well_defined_up_to_13_exhaustive(self):
-        # any two distinct same-length edges have exactly one canonical
-        # distance, and it matches a full translate scan
-        for n in range(3, 14, 2):
-            m = (n - 1) // 2
-            for ell in range(1, m + 1):
-                edges = [(x, (x + ell) % n) for x in range(n)]
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        ks = naive_distance_set(n, edges[i], edges[j])
-                        assert len(ks) == 1, (n, edges[i], edges[j])
-                        k = ks.pop()
-                        assert 1 <= k <= m
-                        assert odc.edge_distance(n, edges[i], edges[j]) == k
+        # the reversed path walks every edge the other way: (1, 0), (6, 5), ...
+        _, profile = odc.is_odc_starter(VertexPath(STARTER_9.vertices[::-1]))
+        assert dict(profile.assignment) == {1: 4, 2: 3, 3: 2, 4: 1}
+        # this terrace walks its length-1 edges (1, 0) and (5, 6) in opposite directions
+        _, profile = odc.is_odc_starter(VertexPath((1, 0, 2, 5, 6, 4, 7, 3, 8)))
+        assert profile.assignment[1] == 4
+        assert naive_distance_set(9, (1, 0), (5, 6)) == {4}
 
 
 class TestStarterScan:
@@ -122,19 +113,19 @@ class TestStarterScan:
     @settings(max_examples=150, deadline=None)
     def test_invariant_under_translation_and_reversal(self, path, t):
         ok, _ = odc.is_odc_starter(path)
-        ok_tr, _ = odc.is_odc_starter(path.translate(t))
-        ok_rev, _ = odc.is_odc_starter(path.reverse())
+        ok_tr, _ = odc.is_odc_starter(VertexPath(tuple((v + t) % path.n for v in path.vertices)))
+        ok_rev, _ = odc.is_odc_starter(VertexPath(path.vertices[::-1]))
         assert ok == ok_tr == ok_rev
 
 
 class TestTranslates:
     def test_first_row_is_input(self):
         coll = odc.translates(STARTER_5)
-        assert coll[0].vertices == STARTER_5.vertices
+        assert coll.paths[0].vertices == STARTER_5.vertices
 
     def test_rowwise_addition(self):
         coll = odc.translates(STARTER_5)
-        assert coll[2].vertices == (2, 3, 0, 4, 1)
+        assert coll.paths[2].vertices == (2, 3, 0, 4, 1)
 
     def test_reproduces_known_cover(self, odc9_file):
         rows = pathcore.parse_paths(odc9_file.read_text())
@@ -170,7 +161,7 @@ class TestOdcCollection:
     def test_paths_materialise(self):
         coll = OdcCollection.from_rows(odc.translates(STARTER_5).matrix)
         assert len(coll) == 5
-        assert [p.vertices for p in coll] == [p.vertices for p in odc.translates(STARTER_5).paths]
+        assert [p.vertices for p in coll.paths] == [p.vertices for p in odc.translates(STARTER_5).paths]
 
 
 class TestVerifyOdc:
@@ -219,7 +210,7 @@ class TestVerifyOdc:
 
 def perturbed_covers(n: int, rng: random.Random) -> dict[str, list[tuple[int, ...]]]:
     """The starter's cover for n and four broken or rearranged variants."""
-    rows = [p.vertices for p in odc.translates(construction.build_starter(n).terrace)]
+    rows = [p.vertices for p in odc.translates(construction.build_starter(n).terrace).paths]
     r = rng.randrange(n)
     swapped = list(rows[r])
     a, b = rng.sample(range(n), 2)

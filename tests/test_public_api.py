@@ -1,0 +1,86 @@
+"""The package's public surface: README's library example and odckit.__all__."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import odckit
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_NAMES = [
+    "ConstructionComparison",
+    "CoverageVerdict",
+    "DirectedTerrace",
+    "DistanceProfile",
+    "FormTag",
+    "NewValue",
+    "NotEligibleError",
+    "OdcCollection",
+    "ProductCertificate",
+    "PruneLevel",
+    "SearchConfig",
+    "SearchResult",
+    "StarterInstance",
+    "VerificationReport",
+    "VertexPath",
+    "Violation",
+    "WitnessPair",
+    "__version__",
+    "build_starter",
+    "canonical_form",
+    "classify",
+    "compare_with_construction",
+    "discrete_log_table",
+    "edge_lengths",
+    "eligibility_modulus",
+    "enumerate_eligible",
+    "enumerate_new_values",
+    "enumerate_starters",
+    "factorize",
+    "find_primitive_root",
+    "format_path",
+    "is_odc_starter",
+    "is_prime",
+    "is_primitive_root",
+    "is_symmetric_directed_terrace",
+    "is_terrace",
+    "log_sequence",
+    "parse_paths",
+    "primitive_roots",
+    "project_to_half",
+    "qualifies_base",
+    "qualifies_prime_power",
+    "translates",
+    "verify_odc",
+    "witness_certificate",
+    "witness_pair",
+]
+
+
+def library_example() -> str:
+    """The python block under README's '## Library' heading, as written."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs_as_documented():
+    code = library_example()
+    ns: dict = {}
+    exec(compile(code, str(README), "exec"), ns)
+    # the four values its comments show
+    assert "# (0, 1, 4, 2, 7, 5, 6, 3, 8)" in code
+    assert ns["inst"].terrace.vertices == (0, 1, 4, 2, 7, 5, 6, 3, 8)
+    assert "# {1: 4, 2: 3, 3: 2, 4: 1}" in code
+    assert dict(ns["profile"].assignment) == {1: 4, 2: 3, 3: 2, 4: 1}
+    assert "report.ok                               # True" in code
+    assert ns["report"].ok is True
+    assert "odckit.classify(23).is_new              # True" in code
+    assert ns["odckit"].classify(23).is_new is True
+
+
+def test_all_is_pinned_and_resolves():
+    assert sorted(odckit.__all__) == PUBLIC_NAMES
+    for name in odckit.__all__:
+        assert getattr(odckit, name) is not None, name

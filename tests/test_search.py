@@ -268,8 +268,8 @@ class TestCanonicalForm:
     def test_idempotent_and_class_invariant(self, path, t):
         c = canonical_form(path)
         assert canonical_form(c) == c
-        assert canonical_form(path.translate(t)) == c
-        assert canonical_form(path.reverse()) == c
+        assert canonical_form(VertexPath(tuple((v + t) % path.n for v in path.vertices))) == c
+        assert canonical_form(VertexPath(path.vertices[::-1])) == c
 
 
 class TestCompareWithConstruction:
