@@ -9,14 +9,15 @@ produces a cover directly.  An order is *new* when only the second criterion
 applies: the discrete-log route certifies it and the product criterion does
 not.
 
-Verdicts never assert non-existence; "not covered" means not covered by
-these criteria.
+Each order is factorized once: its divisors, and the factorization of
+every cofactor, come from that one list, and nothing is cached between
+calls.  Verdicts never assert non-existence; "not covered" means not
+covered by these criteria.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 from . import modnum
@@ -59,6 +60,16 @@ def _form_tag(v: int) -> FormTag | None:
     return None
 
 
+def _base_tag(a: int) -> FormTag | None:
+    """qualifies_base for an odd a >= 1 the caller has already validated."""
+    tag = _form_tag(a)
+    if tag is not None:
+        return tag
+    if a in SPORADIC_BASES:
+        return FormTag(SPORADIC, a)
+    return None
+
+
 def qualifies_base(a: int) -> FormTag | None:
     """Tag for an odd base order with a previously-known cover; None otherwise.
 
@@ -70,15 +81,19 @@ def qualifies_base(a: int) -> FormTag | None:
         raise ValueError(f"base order must be positive, got {a}")
     if a % 2 == 0:
         raise ValueError(f"base order must be odd, got {a}")
-    tag = _form_tag(a)
-    if tag is not None:
-        return tag
-    if a in SPORADIC_BASES:
-        return FormTag(SPORADIC, a)
-    return None
+    return _base_tag(a)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 5.0 must miss an equal numpy integer's entry
+def _prime_power_tag(p: int, t: int) -> FormTag | None:
+    """qualifies_prime_power for q = p**t, with p already known to be prime."""
+    q = p**t
+    if q % 4 != 1:
+        return None
+    if t == 1 and q < SMALL_PRIME_BOUND:
+        return FormTag(SMALL_PRIME_1MOD4, q)
+    return _form_tag(q)
+
+
 def qualifies_prime_power(q: int) -> FormTag | None:
     """Tag for a prime power usable as an expansion factor; None otherwise.
 
@@ -90,12 +105,7 @@ def qualifies_prime_power(q: int) -> FormTag | None:
     factors = modnum.factorize(q)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    _, e = factors[0]
-    if q % 4 != 1:
-        return None
-    if e == 1 and q < SMALL_PRIME_BOUND:
-        return FormTag(SMALL_PRIME_1MOD4, q)
-    return _form_tag(q)
+    return _prime_power_tag(*factors[0])
 
 
 @dataclass(frozen=True)
@@ -114,64 +124,56 @@ class ProductCertificate:
         return out
 
 
-@lru_cache(maxsize=None)
-def _exponent_partition(p: int, e: int) -> tuple[int, ...] | None:
+def _exponent_partition(p: int, e: int) -> tuple[tuple[int, FormTag], ...] | None:
     """Smallest non-decreasing tuple of exponents t summing to e with every
-    p**t a qualifying prime power; None when no such partition exists."""
-    usable = [t for t in range(1, e + 1) if qualifies_prime_power(p**t) is not None]
+    p**t a qualifying prime power, as (p**t, tag) pairs; None when no such
+    partition exists."""
+    usable = [(t, tag) for t in range(1, e + 1) if (tag := _prime_power_tag(p, t)) is not None]
 
-    def rec(remaining: int, floor: int) -> tuple[int, ...] | None:
+    def rec(remaining: int, floor: int) -> tuple[tuple[int, FormTag], ...] | None:
         if remaining == 0:
             return ()
-        for t in usable:
+        for t, tag in usable:
             if t < floor or t > remaining:
                 continue
             rest = rec(remaining - t, t)
             if rest is not None:
-                return (t, *rest)
+                return ((p**t, tag), *rest)
         return None
 
     return rec(e, 1)
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in modnum.factorize(n):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
-def product_certificate(n: int) -> ProductCertificate | None:
-    """First qualifying decomposition of odd n, or None.
+def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCertificate | None:
+    """First qualifying decomposition of odd n, given n's factorization; or None.
 
     The trivial decomposition (base n, no factors) is preferred when the
     whole of n qualifies as a base; otherwise proper bases are tried in
     ascending order, splitting each cofactor prime by prime with the
-    smallest qualifying exponent partition.  Deterministic throughout.
+    smallest qualifying exponent partition.  A base's cofactor keeps the
+    exponents n has beyond the base's, so nothing is factorized again.
+    Deterministic throughout.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"need an odd n >= 3, got {n}")
-    tag = qualifies_base(n)
+    tag = _base_tag(n)
     if tag is not None:
         return ProductCertificate(n, tag, ())
-    for base in _divisors(n):
-        if base == n:
-            continue
-        tag = qualifies_base(base)
+    divisors: list[tuple[int, tuple[int, ...]]] = [(1, ())]  # (d, exponent of each prime in d)
+    for p, e in factors:
+        divisors = [(d * p**i, (*ex, i)) for d, ex in divisors for i in range(e + 1)]
+    divisors.sort()
+    for base, ex in divisors[:-1]:  # the last divisor is n itself
+        tag = _base_tag(base)
         if tag is None:
             continue
-        cofactor = n // base
-        qs: list[int] = []
-        for p, e in modnum.factorize(cofactor):
-            parts = _exponent_partition(p, e)
+        qs: list[tuple[int, FormTag]] = []
+        for (p, e), i in zip(factors, ex):
+            parts = _exponent_partition(p, e - i)  # () when the base takes all of p
             if parts is None:
-                qs = []
                 break
-            qs.extend(p**t for t in parts)
-        if qs:
-            qs.sort()
-            factors = tuple((q, qualifies_prime_power(q)) for q in qs)
-            return ProductCertificate(base, tag, factors)
+            qs.extend(parts)
+        else:
+            qs.sort(key=lambda f: f[0])
+            return ProductCertificate(base, tag, tuple(qs))
     return None
 
 
@@ -205,7 +207,7 @@ def classify(n: int) -> CoverageVerdict:
     if n % 2 == 0 or n < 3:
         raise ValueError(f"need an odd n >= 3, got {n}")
     _check_order_fits(n, "n")
-    return CoverageVerdict(n, product_certificate(n), modnum.is_prime(2 * n + 1))
+    return CoverageVerdict(n, _product_certificate(n, modnum.factorize(n)), modnum.is_prime(2 * n + 1))
 
 
 def enumerate_eligible(lo: int, hi: int) -> list[int]:
@@ -244,19 +246,15 @@ def enumerate_new_values(hi: int) -> list[NewValue]:
         raise ValueError(f"need hi >= 3, got {hi}")
     out = []
     for n in enumerate_eligible(3, hi):  # rejects hi >= 2**63 before any work
-        verdict = classify(n)
-        if not verdict.is_new:
+        factors = modnum.factorize(n)
+        if _product_certificate(n, factors) is not None:
             continue
         families = []
         if n % 4 == 3:
             families.append(FAMILY_P7MOD8)
-        if modnum.is_prime(n):
+        if factors == [(n, 1)]:
             families.append(FAMILY_SOPHIE_GERMAIN)
-        if n % 4 == 1:
-            factors = modnum.factorize(n)
-            if len(factors) % 2 == 0 and all(
-                e == 1 and p % 4 == 3 for p, e in factors
-            ):
-                families.append(FAMILY_EVEN_3MOD4_PRODUCT)
-        out.append(NewValue(verdict, tuple(families)))
+        if n % 4 == 1 and len(factors) % 2 == 0 and all(e == 1 and p % 4 == 3 for p, e in factors):
+            families.append(FAMILY_EVEN_3MOD4_PRODUCT)
+        out.append(NewValue(CoverageVerdict(n, None, True), tuple(families)))
     return out

@@ -110,21 +110,6 @@ class OdcCollection:
         self._paths: tuple[VertexPath, ...] | None = rows
 
     @classmethod
-    def from_rows(cls, matrix: np.ndarray) -> "OdcCollection":
-        """Build from an n x n integer array whose rows are permutations of 0..n-1."""
-        import numpy as np
-
-        mat = np.ascontiguousarray(matrix, dtype=np.int64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"need a square path-per-row matrix, got shape {mat.shape}")
-        n = mat.shape[0]
-        if n < 3 or n % 2 == 0:
-            raise ValueError(f"order must be odd and >= 3, got {n}")
-        if not np.array_equal(np.sort(mat, axis=1), np.broadcast_to(np.arange(n), mat.shape)):
-            raise ValueError(f"every row must be a permutation of 0..{n - 1}")
-        return cls._trusted(n, mat)
-
-    @classmethod
     def _trusted(cls, n: int, mat: np.ndarray) -> "OdcCollection":
         # rows already known to be Hamiltonian paths; skips the per-row check
         obj = object.__new__(cls)
@@ -148,9 +133,6 @@ class OdcCollection:
         if self._paths is None:
             self._paths = tuple(VertexPath(tuple(int(v) for v in row)) for row in self._matrix)
         return self._paths
-
-    def __len__(self) -> int:
-        return self._n
 
 
 def translates(path: VertexPath) -> OdcCollection:

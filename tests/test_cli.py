@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -320,6 +321,25 @@ class TestCoverage:
         assert v["complement_prime"] is True
         assert v["product"]["base"] == 9
         assert "n=9" in out
+
+    @pytest.mark.parametrize(
+        ("args", "count", "digest"),
+        [
+            (["--range", "3", "20001"], 10_000, "71917447982e4d501d8510a75b120879825b503b29f3025bb476302c7744ea8f"),
+            (
+                ["--range", "3", "100000", "--new-only"],
+                5_034,
+                "bad5217ad33f32aa1fc8d1afd4c3ecc52eb9ca1ab82be7bf7af7977903c40b89",
+            ),
+        ],
+        ids=["every-odd-to-20001", "new-only-to-1e5"],
+    )
+    def test_golden_certificates(self, capsys, args, count, digest):
+        # pins the chosen base, factors and tags of every verdict, not only whether n is covered
+        code, doc, _ = machine_doc(capsys, "coverage", *args)
+        assert code == 0 and doc["verified"] is True
+        assert len(doc["result"]["verdicts"]) == count
+        assert hashlib.sha256(json.dumps(doc["result"], sort_keys=True).encode()).hexdigest() == digest
 
 
 class TestParsing:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import oracle_product_covered, sieve_primes
+from helpers import oracle_is_prime, oracle_product_covered, sieve_primes
 
 from odckit import modnum
 from odckit.coverage import (
@@ -166,6 +166,50 @@ class TestClassify:
             assert classify(n).complement_prime == modnum.is_prime(2 * n + 1)
 
 
+class TestFactorizeOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Arguments of coverage's own factorize and is_prime calls, in order.
+
+        factorize's primality tests of its leftover cofactors are its own
+        and are not logged.
+        """
+        log = {"factorize": [], "is_prime": []}
+        factorize, is_prime = modnum.factorize, modnum.is_prime
+        depth = [0]
+
+        def counted_factorize(v):
+            log["factorize"].append(v)
+            depth[0] += 1
+            try:
+                return factorize(v)
+            finally:
+                depth[0] -= 1
+
+        def counted_is_prime(v):
+            if not depth[0]:
+                log["is_prime"].append(v)
+            return is_prime(v)
+
+        monkeypatch.setattr(modnum, "factorize", counted_factorize)
+        monkeypatch.setattr(modnum, "is_prime", counted_is_prime)
+        return log
+
+    def test_classify_factorizes_once(self, calls):
+        for n in [*range(3, 1001, 2), 3**39, 5**20 * 3, (1 << 63) - 1]:
+            calls["factorize"].clear()
+            calls["is_prime"].clear()
+            classify(n)
+            assert calls["factorize"] == [n], n
+            assert calls["is_prime"] == [2 * n + 1], n
+
+    def test_new_values_factorize_each_eligible_order_once(self, calls):
+        hi = 2001
+        enumerate_new_values(hi)
+        assert calls["is_prime"] == [2 * n + 1 for n in range(3, hi + 1, 2)]
+        assert calls["factorize"] == [n for n in range(3, hi + 1, 2) if oracle_is_prime(2 * n + 1)]
+
+
 class TestOracleAgreement:
     def test_full_agreement_up_to_1500(self):
         for n in range(3, 1501, 2):
@@ -220,6 +264,12 @@ class TestEnumerations:
 
     def test_new_values_to_20_empty(self):
         assert enumerate_new_values(20) == []
+
+    def test_new_prime_power_is_not_sophie_germain(self):
+        # 59**3 is the smallest new order that is a prime power with exponent > 1
+        last = enumerate_new_values(59**3)[-1]
+        assert last.verdict.n == 59**3
+        assert last.families == (FAMILY_P7MOD8,)
 
     def test_family_tags_consistent(self):
         for nv in enumerate_new_values(400):

@@ -191,7 +191,7 @@ class TestStrictIntegers:
             (lambda: modnum.is_primitive_root(2.0, 19), "g must be an integer, got 2.0"),
             (lambda: modnum.discrete_log_table(2, 19.0), "p must be an integer, got 19.0"),
             (lambda: modnum.discrete_log_table(True, 19), "g must be an integer, got True"),
-            # an equal numpy integer is cached first, and 5.0 must not be served its entry
+            # an equal numpy integer is accepted first, and 5.0 must still be rejected
             (
                 lambda: (coverage.qualifies_prime_power(np.int64(5)), coverage.qualifies_prime_power(5.0)),
                 "q must be an integer, got 5.0",
@@ -207,7 +207,7 @@ class TestStrictIntegers:
             "is_primitive_root-g",
             "discrete_log_table-p",
             "discrete_log_table-g",
-            "qualifies_prime_power-after-cache",
+            "qualifies_prime_power-after-numpy-int",
             "qualifies_base-bool",
             "qualifies_base-str",
         ],

@@ -9,7 +9,6 @@ import time
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 from helpers import distance_profile_oracle, naive_distance_set, oracle_verify, starter_by_injectivity
 from hypothesis import given, settings
@@ -146,22 +145,16 @@ class TestOdcCollection:
         with pytest.raises(ValueError):
             OdcCollection([])
 
-    def test_from_rows_validates(self):
-        bad = np.zeros((5, 5), dtype=np.int64)
-        with pytest.raises(ValueError):
-            OdcCollection.from_rows(bad)
-        with pytest.raises(ValueError):
-            OdcCollection.from_rows(np.arange(20).reshape(4, 5))
-
     def test_matrix_is_frozen(self):
         coll = odc.translates(STARTER_5)
         with pytest.raises(ValueError):
             coll.matrix[0, 0] = 3
 
     def test_paths_materialise(self):
-        coll = OdcCollection.from_rows(odc.translates(STARTER_5).matrix)
-        assert len(coll) == 5
-        assert [p.vertices for p in coll.paths] == [p.vertices for p in odc.translates(STARTER_5).paths]
+        coll = odc.translates(STARTER_5)  # built from the matrix alone, with no paths yet
+        assert [p.vertices for p in coll.paths] == [
+            tuple((v + t) % 5 for v in STARTER_5.vertices) for t in range(5)
+        ]
 
 
 class TestVerifyOdc:
@@ -243,7 +236,7 @@ class TestVerifyAgainstOracle:
 
     def test_identical_rows_at_301_within_budget(self):
         n = 301
-        coll = OdcCollection.from_rows(np.tile(np.arange(n), (n, 1)))
+        coll = OdcCollection([VertexPath(tuple(range(n)))] * n)
         start = time.perf_counter()
         report = odc.verify_odc(coll)
         elapsed = time.perf_counter() - start
