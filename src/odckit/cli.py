@@ -290,8 +290,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         if lo > hi:
             raise ValueError(f"--range needs LO <= HI, got LO={lo} HI={hi}")
         if args.new_only:
-            verdicts = [(nv.verdict, nv.families) for nv in coverage.enumerate_new_values(hi)
-                        if nv.verdict.n >= lo]
+            verdicts = [(nv.verdict, nv.families) for nv in coverage._new_values(lo, hi)]
         else:
             verdicts = [(coverage.classify(n), None) for n in range(lo | 1, hi + 1, 2)]
         inputs = {"range": [lo, hi], "new_only": args.new_only}

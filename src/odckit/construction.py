@@ -11,9 +11,10 @@ The witness machinery makes the starter property constructive.  For every
 canonical distance k in 1..m it derives, in Z_p, the pair of consecutive
 integer pairs whose projected edges have equal length and sit exactly k
 apart, and points at the literal positions of those edges in the terrace.
-A certificate is one walk over k = 1..m: x = g**k advances by one
-multiplication per step, and each k's quantities u, i, j, its two edges,
-their length and their distance are derived and checked once.
+A certificate is one walk over k = 1..m.  The antilog table, read off the
+log table once, gives x = g**k and every inverse as a lookup, and each k's
+quantities u, i, j, its two edges, their length and their distance are
+derived and checked once.
 """
 
 from __future__ import annotations
@@ -164,27 +165,44 @@ def witness_pair(inst: StarterInstance, k: int) -> WitnessPair:
     i = 1/(u-1), and j = x*i.  The consecutive pairs (i, i+1) and (j, j+1)
     project to terrace edges of equal length exactly k apart.  Every claimed
     property is re-checked; failures are defects, never expected errors.
+    Each call derives the antilog table, O(n); witness_certificate derives
+    it once for every k.
     """
     m = inst.m
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    return _witness(inst, k, pow(inst.root, k, inst.modulus))
+    exp = _antilog(inst)
+    return _witness(inst, k, exp[k], exp)
 
 
-def _witness(inst: StarterInstance, k: int, x: int) -> WitnessPair:
-    """witness_pair's derivation and checks, given x = root**k mod p."""
+def _antilog(inst: StarterInstance) -> list[int]:
+    """exp[e] = root**e mod p for e in [0, 2n), read off the log table."""
+    logs = inst.log_table
+    exp = [0] * (inst.modulus - 1)
+    for y in range(1, inst.modulus):
+        exp[logs[y]] = y
+    return exp
+
+
+def _witness(inst: StarterInstance, k: int, x: int, exp: list[int]) -> WitnessPair:
+    """witness_pair's derivation and checks, given x = root**k mod p.
+
+    Inverses come from the antilog table: the inverse of y is
+    root**(2n - log y), which is exp[-log y] by Python's negative indexing
+    (and exp[0] = 1 for y = 1).
+    """
     n = inst.n
     two_n = 2 * n
     p = two_n + 1
-    u = (1 - x) * pow(1 + x, -1, p) % p  # x = -1 needs k = n, excluded by k <= m
-    i = pow(u - 1, -1, p)
+    logs = inst.log_table
+    u = (1 - x) * exp[-logs[1 + x]] % p  # x = -1 needs k = n, excluded by k <= m
+    i = exp[-logs[u - 1]]  # u = 1 needs x = 0, which is no power of the root
     j = x * i % p
     if i == n or i == two_n:
         raise _defect(inst, k, f"degenerate witness index i={i}")
     if j == n or j == two_n:
         raise _defect(inst, k, f"degenerate witness index j={j}")
 
-    logs = inst.log_table
     a, b = logs[i] % n, logs[i + 1] % n
     e_i = (a, b) if a < b else (b, a)
     a, b = logs[j] % n, logs[j + 1] % n
@@ -203,38 +221,43 @@ def _witness(inst: StarterInstance, k: int, x: int) -> WitnessPair:
             raise _defect(inst, k, f"edge {e} is not the terrace edge at position {pos}")
 
     # Both edges are now literal terrace edges, sorted, so 0 < hi - lo < n.
-    lu = logs[u] % n
-    ell = min(lu, n - lu)
+    ell = logs[u] % n
+    if 2 * ell > n:
+        ell = n - ell
     d_i = e_i[1] - e_i[0]
     d_j = e_j[1] - e_j[0]
-    if min(d_i, n - d_i) != ell or min(d_j, n - d_j) != ell:
+    if (d_i if 2 * d_i < n else n - d_i) != ell or (d_j if 2 * d_j < n else n - d_j) != ell:
         raise _defect(inst, k, f"edges {e_i}, {e_j} do not share length {ell}")
     # Translating an edge by k moves its midpoint by k, as in odc._pair_distances.
     dist = (e_j[0] + e_j[1] - e_i[0] - e_i[1]) * ((n + 1) // 2) % n
-    if min(dist, n - dist) != k:
+    if (dist if 2 * dist < n else n - dist) != k:
         raise _defect(inst, k, f"edges {e_i}, {e_j} are not at distance {k}")
 
-    return WitnessPair(k, x, u, i, j, e_i, e_j, ell, pos_i - 1, pos_j - 1)
+    # The frozen dataclass __init__ sets each field through object.__setattr__;
+    # filling __dict__ directly builds the same instance at half the cost.
+    w = object.__new__(WitnessPair)
+    w.__dict__.update(
+        k=k, x=x, u=u, i=i, j=j, edge_i=e_i, edge_j=e_j, length=ell,
+        edge_index_i=pos_i - 1, edge_index_j=pos_j - 1,
+    )
+    return w
 
 
 def witness_certificate(inst: StarterInstance) -> dict[int, WitnessPair]:
     """Witnesses for every distance k in 1..m, cross-checked against the scan.
 
-    One walk over k = 1..m carries x = root**k forward by one multiplication
-    per step and runs witness_pair's derivation and checks on it.  The
-    witness-induced map length -> k must agree exactly with the distance
-    profile found by the starter scan, and the witnessed lengths must exhaust
-    1..m.  Any mismatch is a defect.
+    The antilog table is derived once from the log table; x = root**k and
+    every inverse are read from it, and each k runs witness_pair's
+    derivation and checks.  The witness-induced map length -> k must agree
+    exactly with the distance profile found by the starter scan, and the
+    witnessed lengths must exhaust 1..m.  Any mismatch is a defect.
     """
     m = inst.m
-    g = inst.root
-    p = inst.modulus
+    exp = _antilog(inst)
     assignment = inst.profile.assignment
     cert: dict[int, WitnessPair] = {}
-    x = 1
     for k in range(1, m + 1):
-        x = x * g % p
-        w = _witness(inst, k, x)
+        w = _witness(inst, k, exp[k], exp)
         if assignment.get(w.length) != k:
             raise _defect(
                 inst, k, f"scan assigns distance {assignment.get(w.length)} to length {w.length}"
@@ -243,6 +266,6 @@ def witness_certificate(inst: StarterInstance) -> dict[int, WitnessPair]:
     lengths = sorted(w.length for w in cert.values())
     if lengths != list(range(1, m + 1)):
         raise RuntimeError(
-            f"internal defect (n={inst.n}, root={g}): witnessed lengths {lengths} do not cover 1..{m}"
+            f"internal defect (n={inst.n}, root={inst.root}): witnessed lengths {lengths} do not cover 1..{m}"
         )
     return cert

@@ -241,11 +241,19 @@ def enumerate_new_values(hi: int) -> list[NewValue]:
     (mod 4) and a product of an even number of distinct primes, all ≡ 3
     (mod 4).  A value may belong to several families, or to none.
     """
+    return _new_values(3, hi)
+
+
+def _new_values(lo: int, hi: int) -> list[NewValue]:
+    """enumerate_new_values restricted to odd n in [max(lo, 3), hi], for lo <= hi.
+
+    The work grows with the width of the range, not with hi.
+    """
     hi = modnum._strict_int(hi, "hi")
     if hi < 3:
         raise ValueError(f"need hi >= 3, got {hi}")
     out = []
-    for n in enumerate_eligible(3, hi):  # rejects hi >= 2**63 before any work
+    for n in enumerate_eligible(max(lo, 3), hi):  # rejects hi >= 2**63 before any work
         factors = modnum.factorize(n)
         if _product_certificate(n, factors) is not None:
             continue

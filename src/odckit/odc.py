@@ -10,12 +10,14 @@ the construction) and the search's leaf and multiplier-image checks all
 run it, each once per path.  A pair's distance is the difference of its
 edges' midpoints, the identity the construction's witnesses check too.
 
+A collection holds its paths as the rows of a read-only int32 matrix.
 verify_odc counts every edge occurrence and every pairwise intersection
 directly from the vertex data; nothing is inferred from how a collection was
 produced.  Every input, valid or not, goes through one counting kernel: one
 sorted key per (edge, row) occurrence, unique because a Hamiltonian path
 holds each edge at most once, from which edge counts and shared-edge counts
-per path pair are tallied with bincount.  It is a plain exhaustive count and
+per path pair are tallied with bincount.  The keys are int32 up to n = 1024
+and int64 above, where they no longer fit.  It is a plain exhaustive count and
 its report is deterministic.  numpy is imported on first use here, so the
 package's construction, search and coverage routes never load it.
 """
@@ -83,7 +85,7 @@ def is_odc_starter(path: VertexPath) -> tuple[bool, DistanceProfile | None]:
 
 
 class OdcCollection:
-    """A candidate ODC: n paths on Z_n, one per row of an n x n matrix.
+    """A candidate ODC: n paths on Z_n, one per row of an n x n int32 matrix.
 
     Rows are validated as Hamiltonian paths at construction; the matrix is
     frozen afterwards.  VertexPath views of the rows are materialised lazily,
@@ -103,7 +105,7 @@ class OdcCollection:
             raise ValueError("collection mixes path orders")
         if len(rows) != n:
             raise ValueError(f"need exactly {n} paths of order {n}, got {len(rows)}")
-        matrix = np.array([p.vertices for p in rows], dtype=np.int64)
+        matrix = np.array([p.vertices for p in rows], dtype=np.int32)
         matrix.flags.writeable = False
         self._n = n
         self._matrix = matrix
@@ -125,7 +127,7 @@ class OdcCollection:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Read-only n x n matrix, one path per row."""
+        """Read-only n x n int32 matrix, one path per row."""
         return self._matrix
 
     @property
@@ -144,8 +146,8 @@ def translates(path: VertexPath) -> OdcCollection:
     import numpy as np
 
     n = path.n
-    base = np.asarray(path.vertices, dtype=np.int64)
-    matrix = (base[None, :] + np.arange(n, dtype=np.int64)[:, None]) % n
+    wrap = np.arange(2 * n, dtype=np.int32) % n  # wrap[v + t] = (v + t) mod n
+    matrix = wrap.take(np.add.outer(np.arange(n), path.vertices))
     # translating a permutation of Z_n by a constant yields a permutation
     return OdcCollection._trusted(n, matrix)
 
@@ -180,25 +182,32 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
     pairs, sorted by kind then subject.
 
     Each (edge, row) occurrence becomes the key edge_id << b | row, with b
-    the bit length of n - 1, so shifts and masks split it again.  A
-    Hamiltonian path holds an edge at most once, so the keys are unique and
-    sorting them groups every edge's owners in ascending row order.  Owners
-    d places apart within a group form one path pair per edge they share;
-    the offsets d = 1, 2, ... run up to the largest edge multiplicity minus
-    one, so a valid cover needs a single offset.
+    the bit length of n - 1, so shifts and masks split it again.  Keys are
+    int32 while every key fits, (n * n) << b < 2**31, that is for n <= 1024,
+    and int64 above; the kernel is the same for both.  A Hamiltonian path
+    holds an edge at most once, so the keys are unique and sorting them
+    groups every edge's owners in ascending row order.  Owners d places
+    apart within a group form one path pair per edge they share; the offsets
+    d = 1, 2, ... run up to the largest edge multiplicity minus one, so a
+    valid cover needs a single offset.
     """
     import numpy as np
 
     coll = collection if isinstance(collection, OdcCollection) else OdcCollection(collection)
     n = coll.n
-    mat = coll.matrix
     n_edges = n * (n - 1) // 2
-
-    a = mat[:, :-1]
-    b = mat[:, 1:]
-    eid = np.minimum(a, b) * n + np.maximum(a, b)
     shift = (n - 1).bit_length()
-    keys = np.sort(((eid << shift) | np.arange(n, dtype=np.int64)[:, None]).ravel())
+    key_type = np.int32 if (n * n) << shift < 2**31 else np.int64
+
+    a = coll.matrix[:, :-1]
+    b = coll.matrix[:, 1:]
+    keys = np.minimum(a, b).astype(key_type, copy=False)  # a fresh array: the ops below work in place
+    keys *= n
+    keys += np.maximum(a, b)
+    keys <<= shift
+    keys |= np.arange(n, dtype=key_type)[:, None]
+    keys = keys.ravel()
+    keys.sort()
     edge = keys >> shift
     owner = keys & ((1 << shift) - 1)
     edge_counts = np.bincount(edge, minlength=n * n)

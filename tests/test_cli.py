@@ -69,6 +69,23 @@ class TestConstruct:
         assert len(result["witnesses"]) == 4
         assert result["witnesses"][0]["edge_i"] == [2, 7]
 
+    @pytest.mark.parametrize(
+        ("args", "digest"),
+        [
+            (["--n", "99", "--emit", "all"], "513de8670ea584b410a4f253f59bf3e028b8f97e9230a5ec0b8486a4f21fa09c"),
+            (
+                ["--n", "15", "--root", "3", "--emit", "witnesses"],
+                "3226d68155d744532f9aec1151c8fdb4f81119e0182aba1e0cb5b2c4bf3161f5",
+            ),
+        ],
+        ids=["all-99", "witnesses-15-root-3"],
+    )
+    def test_golden_result(self, capsys, args, digest):
+        # pins every starter vertex, cover row and witness field of the result
+        code, doc, _ = machine_doc(capsys, "construct", *args)
+        assert code == 0 and doc["verified"] is True
+        assert hashlib.sha256(json.dumps(doc["result"], sort_keys=True).encode()).hexdigest() == digest
+
     def test_text_and_machine_numbers_agree(self, capsys):
         _, out, _ = run(capsys, "construct", "--n", "15", "--root", "3")
         _, doc, _ = machine_doc(capsys, "construct", "--n", "15", "--root", "3")

@@ -230,6 +230,17 @@ class TestWitnesses:
         with pytest.raises(RuntimeError, match=f"n=9, root=2, {named}\\)"):
             construction.witness_certificate(inst)
 
+    def test_witness_pair_is_a_frozen_dataclass(self):
+        # witnesses are built without running the dataclass __init__
+        w = construction.witness_certificate(construction.build_starter(15, 3))[4]
+        twin = construction.WitnessPair(*(getattr(w, f.name) for f in dataclasses.fields(w)))
+        assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
+        assert dataclasses.asdict(w) == dataclasses.asdict(twin)
+        moved = dataclasses.replace(w, k=5)
+        assert moved.k == 5 and moved == dataclasses.replace(twin, k=5) and moved != w
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.k = 5
+
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_distance_check_names_the_edges(self, k):
         # x = root**2 derives the true distance-2 pair; claimed as any other
@@ -238,7 +249,7 @@ class TestWitnesses:
         w = construction.witness_pair(inst, 2)
         msg = f"n=9, root=2, k={k}): edges {w.edge_i}, {w.edge_j} are not at distance {k}"
         with pytest.raises(RuntimeError, match=f"^internal defect \\({re.escape(msg)}$"):
-            construction._witness(inst, k, w.x)
+            construction._witness(inst, k, w.x, construction._antilog(inst))
 
 
 class TestFullPipelineSmallSweep:

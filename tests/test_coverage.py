@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import oracle_is_prime, oracle_product_covered, sieve_primes
 
-from odckit import modnum
+from odckit import cli, modnum
 from odckit.coverage import (
     FAMILY_EVEN_3MOD4_PRODUCT,
     FAMILY_P7MOD8,
@@ -208,6 +208,16 @@ class TestFactorizeOnce:
         enumerate_new_values(hi)
         assert calls["is_prime"] == [2 * n + 1 for n in range(3, hi + 1, 2)]
         assert calls["factorize"] == [n for n in range(3, hi + 1, 2) if oracle_is_prime(2 * n + 1)]
+
+    def test_new_only_range_tests_only_its_own_orders(self, calls, capsys):
+        # the work of --range LO HI --new-only follows the range, not HI
+        assert cli.main(["coverage", "--range", "1000140", "1000152", "--new-only"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "n=1000145 new=yes complement_prime=yes product=none families=-",
+            "n=1000151 new=yes complement_prime=yes product=none families=p7mod8,sophie-germain",
+        ]
+        assert calls["is_prime"] == [2 * n + 1 for n in range(1000141, 1000152, 2)]
+        assert calls["factorize"] == [1000145, 1000151]
 
 
 class TestOracleAgreement:

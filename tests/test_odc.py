@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from helpers import distance_profile_oracle, naive_distance_set, oracle_verify, starter_by_injectivity
 from hypothesis import given, settings
@@ -150,6 +151,11 @@ class TestOdcCollection:
         with pytest.raises(ValueError):
             coll.matrix[0, 0] = 3
 
+    def test_matrix_is_int32_and_read_only(self):
+        for coll in (odc.translates(STARTER_9), OdcCollection(odc.translates(STARTER_9).paths)):
+            assert coll.matrix.dtype == np.int32
+            assert not coll.matrix.flags.writeable
+
     def test_paths_materialise(self):
         coll = odc.translates(STARTER_5)  # built from the matrix alone, with no paths yet
         assert [p.vertices for p in coll.paths] == [
@@ -221,18 +227,34 @@ def perturbed_covers(n: int, rng: random.Random) -> dict[str, list[tuple[int, ..
     }
 
 
+def report_triple(report: odc.VerificationReport) -> tuple[bool, bool, tuple]:
+    """A report in oracle_verify's layout."""
+    return (
+        report.double_cover_ok,
+        report.orthogonality_ok,
+        tuple((v.kind, v.subject, v.count) for v in report.violations),
+    )
+
+
 class TestVerifyAgainstOracle:
     @pytest.mark.parametrize("n", [3, 5, 9, 11, 15, 23, 29])
     def test_full_report_matches_oracle(self, n):
         rng = random.Random(1000 + n)
         for name, rows in perturbed_covers(n, rng).items():
             report = odc.verify_odc([VertexPath(r) for r in rows])
-            got = (
-                report.double_cover_ok,
-                report.orthogonality_ok,
-                tuple((v.kind, v.subject, v.count) for v in report.violations),
-            )
-            assert got == oracle_verify(rows), (n, name)
+            assert report_triple(report) == oracle_verify(rows), (n, name)
+
+    @pytest.mark.parametrize("n", [1019, 1031])
+    def test_both_key_widths_match_oracle(self, n):
+        # keys are int32 while (n * n) << bit_length(n - 1) < 2**31, that is
+        # up to n = 1024; 1019 and 1031 are the eligible orders either side
+        assert ((n * n) << (n - 1).bit_length() < 2**31) == (n <= 1024)
+        covers = perturbed_covers(n, random.Random(n))
+        for name in ("cover", "swapped"):
+            rows = covers[name]
+            report = odc.verify_odc(OdcCollection([VertexPath(r) for r in rows]))
+            assert report_triple(report) == oracle_verify(rows), (n, name)
+            assert report.ok == (name == "cover")
 
     def test_identical_rows_at_301_within_budget(self):
         n = 301
