@@ -17,7 +17,6 @@ from .construction import (
     eligibility_modulus,
     log_sequence,
     witness_certificate,
-    witness_pair,
 )
 from .coverage import (
     CoverageVerdict,
@@ -77,7 +76,6 @@ __all__ = [
     "eligibility_modulus",
     "log_sequence",
     "witness_certificate",
-    "witness_pair",
     "CoverageVerdict",
     "FormTag",
     "NewValue",

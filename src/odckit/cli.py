@@ -47,13 +47,6 @@ def _form_dict(tag: coverage.FormTag) -> dict[str, Any]:
     return {"kind": tag.kind, "witness": tag.witness}
 
 
-def _witness_dict(w: construction.WitnessPair) -> dict[str, Any]:
-    d = asdict(w)
-    d["edge_i"] = list(w.edge_i)
-    d["edge_j"] = list(w.edge_j)
-    return d
-
-
 # ---------------------------------------------------------------- construct
 
 
@@ -66,9 +59,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
     lengths = pathcore.edge_lengths(inst.terrace)
     distances = sorted(inst.profile.assignment.items())
-    want_odc = args.emit in ("odc", "all")
-    want_wit = args.emit in ("witnesses", "all")
-    cert = construction.witness_certificate(inst) if want_wit else None
+    rows = collection.matrix.tolist() if args.emit in ("odc", "all") else None
+    cert = construction.witness_certificate(inst) if args.emit in ("witnesses", "all") else None
 
     result: dict[str, Any] = {
         "n": inst.n,
@@ -78,10 +70,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "lengths": list(lengths),
         "distances": [[ell, k] for ell, k in distances],
     }
-    if want_odc:
-        result["odc"] = [list(p.vertices) for p in collection.paths]
+    if rows is not None:
+        result["odc"] = rows
     if cert is not None:
-        result["witnesses"] = [_witness_dict(cert[k]) for k in sorted(cert)]
+        # json writes the edge tuples as arrays
+        result["witnesses"] = [asdict(cert[k]) for k in sorted(cert)]
 
     inputs = {"n": args.n, "root": args.root, "emit": args.emit}
     if args.format == "machine":
@@ -92,11 +85,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"# lengths {','.join(map(str, lengths))}")
         print("# distances " + " ".join(f"{ell}->{k}" for ell, k in distances))
         if args.emit in ("starter", "all"):
-            print(pathcore.format_path(inst.terrace))
-        if want_odc:
+            print(pathcore.format_path(inst.terrace.vertices))
+        if rows is not None:
             print(f"# odc {inst.n} rows")
-            for p in collection.paths:
-                print(pathcore.format_path(p))
+            for row in rows:
+                print(pathcore.format_path(row))
         if cert is not None:
             print("# witnesses")
             for k in sorted(cert):
@@ -232,7 +225,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         _print_envelope("search", inputs, result, True)
     else:
         for p in res.starters:
-            print(pathcore.format_path(p))
+            print(pathcore.format_path(p.vertices))
     print(
         f"# search n={args.n} found={len(res.starters)} "
         f"nodes={res.nodes_explored} time={res.wall_time:.3f}s",

@@ -30,12 +30,13 @@ class NotEligibleError(ValueError):
 
 
 def eligibility_modulus(n: int) -> int:
-    """Return p = 2n+1 after checking the construction applies to n."""
+    """Return p = 2n+1 after checking the construction applies to n < 2**63."""
     n = modnum._strict_int(n, "n")
     if n < 3:
         raise NotEligibleError(f"n must be at least 3, got {n}")
     if n % 2 == 0:
         raise NotEligibleError(f"n must be odd, got {n}")
+    modnum._check_order_fits(n, "n")
     p = 2 * n + 1
     if not modnum.is_prime(p):
         parts = " * ".join(
@@ -158,23 +159,6 @@ def _defect(inst: StarterInstance, k: int, msg: str) -> RuntimeError:
     )
 
 
-def witness_pair(inst: StarterInstance, k: int) -> WitnessPair:
-    """The edge pair of equal length at canonical distance k, for 1 <= k <= m.
-
-    Derivation in Z_p with p = 2n+1: x = root**k, u = (1-x)/(1+x),
-    i = 1/(u-1), and j = x*i.  The consecutive pairs (i, i+1) and (j, j+1)
-    project to terrace edges of equal length exactly k apart.  Every claimed
-    property is re-checked; failures are defects, never expected errors.
-    Each call derives the antilog table, O(n); witness_certificate derives
-    it once for every k.
-    """
-    m = inst.m
-    if not 1 <= k <= m:
-        raise ValueError(f"k must be in [1, {m}], got {k}")
-    exp = _antilog(inst)
-    return _witness(inst, k, exp[k], exp)
-
-
 def _antilog(inst: StarterInstance) -> list[int]:
     """exp[e] = root**e mod p for e in [0, 2n), read off the log table."""
     logs = inst.log_table
@@ -185,11 +169,12 @@ def _antilog(inst: StarterInstance) -> list[int]:
 
 
 def _witness(inst: StarterInstance, k: int, x: int, exp: list[int]) -> WitnessPair:
-    """witness_pair's derivation and checks, given x = root**k mod p.
+    """The witness for distance k from x = root**k mod p, every property re-checked.
 
-    Inverses come from the antilog table: the inverse of y is
-    root**(2n - log y), which is exp[-log y] by Python's negative indexing
-    (and exp[0] = 1 for y = 1).
+    In Z_p, u = (1-x)/(1+x), i = 1/(u-1) and j = x*i; the pairs (i, i+1)
+    and (j, j+1) project to terrace edges of equal length exactly k apart.
+    A failed check is a defect.  The inverse of y is root**(2n - log y),
+    which is exp[-log y] by Python's negative indexing (exp[0] = 1 for y = 1).
     """
     n = inst.n
     two_n = 2 * n
@@ -198,24 +183,23 @@ def _witness(inst: StarterInstance, k: int, x: int, exp: list[int]) -> WitnessPa
     u = (1 - x) * exp[-logs[1 + x]] % p  # x = -1 needs k = n, excluded by k <= m
     i = exp[-logs[u - 1]]  # u = 1 needs x = 0, which is no power of the root
     j = x * i % p
-    if i == n or i == two_n:
-        raise _defect(inst, k, f"degenerate witness index i={i}")
-    if j == n or j == two_n:
-        raise _defect(inst, k, f"degenerate witness index j={j}")
+    # Pairs (i, i+1) and (2n-i, 2n+1-i) name the same terrace edge, because
+    # logs of y and -y agree mod n; canonicalise to the stored position.
+    # An index in {0, n, 2n} has no position; it is rejected before logs[i + 1] is read.
+    pos_i = i if i < n else two_n - i
+    pos_j = j if j < n else two_n - j
+    if not 1 <= pos_i < n:
+        raise _defect(inst, k, f"witness index i={i} names no terrace edge")
+    if not 1 <= pos_j < n:
+        raise _defect(inst, k, f"witness index j={j} names no terrace edge")
 
     a, b = logs[i] % n, logs[i + 1] % n
     e_i = (a, b) if a < b else (b, a)
     a, b = logs[j] % n, logs[j + 1] % n
     e_j = (a, b) if a < b else (b, a)
 
-    # Pairs (i, i+1) and (2n-i, 2n+1-i) name the same terrace edge, because
-    # logs of y and -y agree mod n; canonicalise to the stored position.
-    pos_i = i if i < n else two_n - i
-    pos_j = j if j < n else two_n - j
     vs = inst.terrace.vertices
-    for name, pos, e in (("i", pos_i, e_i), ("j", pos_j, e_j)):
-        if not 1 <= pos < n:
-            raise _defect(inst, k, f"witness position {name}={pos} outside the terrace")
+    for pos, e in ((pos_i, e_i), (pos_j, e_j)):
         a, b = vs[pos - 1], vs[pos]
         if ((a, b) if a < b else (b, a)) != e:
             raise _defect(inst, k, f"edge {e} is not the terrace edge at position {pos}")
@@ -246,26 +230,19 @@ def _witness(inst: StarterInstance, k: int, x: int, exp: list[int]) -> WitnessPa
 def witness_certificate(inst: StarterInstance) -> dict[int, WitnessPair]:
     """Witnesses for every distance k in 1..m, cross-checked against the scan.
 
-    The antilog table is derived once from the log table; x = root**k and
-    every inverse are read from it, and each k runs witness_pair's
-    derivation and checks.  The witness-induced map length -> k must agree
-    exactly with the distance profile found by the starter scan, and the
-    witnessed lengths must exhaust 1..m.  Any mismatch is a defect.
+    The antilog table is derived once; x = root**k and every inverse are
+    read from it.  Each witness's length must map to its k in the scanned
+    distance profile, or it is a defect.  That makes k -> length injective
+    on terrace lengths, so the witnessed lengths are exactly 1..m.
     """
-    m = inst.m
     exp = _antilog(inst)
     assignment = inst.profile.assignment
     cert: dict[int, WitnessPair] = {}
-    for k in range(1, m + 1):
+    for k in range(1, inst.m + 1):
         w = _witness(inst, k, exp[k], exp)
         if assignment.get(w.length) != k:
             raise _defect(
                 inst, k, f"scan assigns distance {assignment.get(w.length)} to length {w.length}"
             )
         cert[k] = w
-    lengths = sorted(w.length for w in cert.values())
-    if lengths != list(range(1, m + 1)):
-        raise RuntimeError(
-            f"internal defect (n={inst.n}, root={inst.root}): witnessed lengths {lengths} do not cover 1..{m}"
-        )
     return cert

@@ -195,18 +195,12 @@ class CoverageVerdict:
         return self.complement_prime or self.product_cert is not None
 
 
-def _check_order_fits(v: int, name: str) -> None:
-    """Orders must stay below 2**63, so that 2n+1 fits in 64 bits."""
-    if v >= 1 << 63:
-        raise ValueError(f"{name} must be below 2**63 so that 2n+1 fits in 64 bits, got {v}")
-
-
 def classify(n: int) -> CoverageVerdict:
     """Coverage verdict for odd n with 3 <= n < 2**63, so that 2n+1 fits in 64 bits."""
     n = modnum._strict_int(n, "n")
     if n % 2 == 0 or n < 3:
         raise ValueError(f"need an odd n >= 3, got {n}")
-    _check_order_fits(n, "n")
+    modnum._check_order_fits(n, "n")
     return CoverageVerdict(n, _product_certificate(n, modnum.factorize(n)), modnum.is_prime(2 * n + 1))
 
 
@@ -216,7 +210,7 @@ def enumerate_eligible(lo: int, hi: int) -> list[int]:
     hi = modnum._strict_int(hi, "hi")
     if not 3 <= lo <= hi:
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
-    _check_order_fits(hi, "hi")
+    modnum._check_order_fits(hi, "hi")
     start = lo if lo % 2 else lo + 1
     return [n for n in range(start, hi + 1, 2) if modnum.is_prime(2 * n + 1)]
 

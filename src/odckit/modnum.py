@@ -31,6 +31,12 @@ def _strict_int(v: int, what: str) -> int:
     return operator.index(v)
 
 
+def _check_order_fits(v: int, name: str) -> None:
+    """Orders must stay below 2**63, so that 2n+1 fits in 64 bits."""
+    if v >= 1 << 63:
+        raise ValueError(f"{name} must be below 2**63 so that 2n+1 fits in 64 bits, got {v}")
+
+
 def is_prime(v: int) -> bool:
     """Exact primality test for 0 <= v < 2**64."""
     v = _strict_int(v, "v")

@@ -10,16 +10,17 @@ the construction) and the search's leaf and multiplier-image checks all
 run it, each once per path.  A pair's distance is the difference of its
 edges' midpoints, the identity the construction's witnesses check too.
 
-A collection holds its paths as the rows of a read-only int32 matrix.
+A collection is n plus a read-only n x n int32 matrix, one path per row.
 verify_odc counts every edge occurrence and every pairwise intersection
 directly from the vertex data; nothing is inferred from how a collection was
 produced.  Every input, valid or not, goes through one counting kernel: one
 sorted key per (edge, row) occurrence, unique because a Hamiltonian path
-holds each edge at most once, from which edge counts and shared-edge counts
-per path pair are tallied with bincount.  The keys are int32 up to n = 1024
-and int64 above, where they no longer fit.  It is a plain exhaustive count and
-its report is deterministic.  numpy is imported on first use here, so the
-package's construction, search and coverage routes never load it.
+holds each edge at most once, from which shared-edge counts per path pair
+are tallied with bincount, and edge counts for a violation report.  The keys
+are int32 up to n = 1024 and int64 above, where they no longer fit.  It is a
+plain exhaustive count and its report is deterministic.  numpy is imported on
+first use here, so the package's construction, search and coverage routes
+never load it.
 """
 
 from __future__ import annotations
@@ -85,14 +86,13 @@ def is_odc_starter(path: VertexPath) -> tuple[bool, DistanceProfile | None]:
 
 
 class OdcCollection:
-    """A candidate ODC: n paths on Z_n, one per row of an n x n int32 matrix.
+    """A candidate ODC: n plus a read-only n x n int32 matrix, one path per row.
 
     Rows are validated as Hamiltonian paths at construction; the matrix is
-    frozen afterwards.  VertexPath views of the rows are materialised lazily,
-    so bulk verification never pays per-vertex object costs.
+    frozen afterwards.
     """
 
-    __slots__ = ("_n", "_matrix", "_paths")
+    __slots__ = ("_n", "_matrix")
 
     def __init__(self, paths: Iterable[VertexPath]):
         import numpy as np
@@ -109,7 +109,6 @@ class OdcCollection:
         matrix.flags.writeable = False
         self._n = n
         self._matrix = matrix
-        self._paths: tuple[VertexPath, ...] | None = rows
 
     @classmethod
     def _trusted(cls, n: int, mat: np.ndarray) -> "OdcCollection":
@@ -118,7 +117,6 @@ class OdcCollection:
         mat.flags.writeable = False
         obj._n = n
         obj._matrix = mat
-        obj._paths = None
         return obj
 
     @property
@@ -129,12 +127,6 @@ class OdcCollection:
     def matrix(self) -> np.ndarray:
         """Read-only n x n int32 matrix, one path per row."""
         return self._matrix
-
-    @property
-    def paths(self) -> tuple[VertexPath, ...]:
-        if self._paths is None:
-            self._paths = tuple(VertexPath(tuple(int(v) for v in row)) for row in self._matrix)
-        return self._paths
 
 
 def translates(path: VertexPath) -> OdcCollection:
@@ -189,7 +181,9 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
     groups every edge's owners in ascending row order.  Owners d places
     apart within a group form one path pair per edge they share; the offsets
     d = 1, 2, ... run up to the largest edge multiplicity minus one, so a
-    valid cover needs a single offset.
+    valid cover needs a single offset.  The loop stops at d equal to that
+    multiplicity, so d == 2 puts the n(n-1) = 2 * n_edges occurrences on
+    edges held at most twice: every edge is held exactly twice.
     """
     import numpy as np
 
@@ -210,7 +204,6 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
     keys.sort()
     edge = keys >> shift
     owner = keys & ((1 << shift) - 1)
-    edge_counts = np.bincount(edge, minlength=n * n)
 
     pair_counts = np.zeros(n * n, dtype=np.int64)
     d = 1
@@ -221,15 +214,16 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
         pair_counts += np.bincount(owner[hit] * n + owner[hit + d], minlength=n * n)
         d += 1
 
-    # Counts live only at upper-triangle ids, so n_edges non-zero entries
-    # with the right maximum means every entry is exactly that maximum.
-    double_ok = bool(np.count_nonzero(edge_counts) == n_edges and edge_counts.max() == 2)
+    double_ok = d == 2
+    # Pair counts live only at upper-triangle ids, so n_edges non-zero entries
+    # with maximum 1 means every entry is exactly 1.
     orth_ok = bool(np.count_nonzero(pair_counts) == n_edges and pair_counts.max() == 1)
 
     violations: list[Violation] = []
     if not (double_ok and orth_ok):
         xs, ys = np.triu_indices(n, 1)
         ids = xs * n + ys
+        edge_counts = np.bincount(edge, minlength=n * n)
         for kind, by_id, want in (("edge", edge_counts, 2), ("pair", pair_counts, 1)):
             counts = by_id[ids]
             bad = counts != want

@@ -163,7 +163,7 @@ def parse_paths(text: str) -> list[VertexPath]:
     return paths
 
 
-def format_path(path: VertexPath) -> str:
-    """Fixture-format rendering: comma-separated vertex labels."""
-    return ",".join(map(str, path.vertices))
+def format_path(vertices: Iterable[int]) -> str:
+    """Fixture-format rendering of a path's vertex labels: comma-separated."""
+    return ",".join(map(str, vertices))
 

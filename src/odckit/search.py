@@ -70,6 +70,8 @@ class SearchConfig:
         object.__setattr__(self, "ceiling", modnum._strict_int(self.ceiling, "ceiling"))
         if type(self.canonicalize) is not bool:
             raise ValueError(f"canonicalize must be a bool, got {self.canonicalize!r}")
+        if not isinstance(self.prune, PruneLevel):
+            raise ValueError(f"prune must be a PruneLevel, got {self.prune!r}")
         if self.n % 2 == 0 or self.n < 3:
             raise ValueError(f"search order must be odd and >= 3, got {self.n}")
         if self.n > self.ceiling:

@@ -75,7 +75,7 @@ def test_criterion_4_known_cover_of_k9(odc9_file):
         fixture_rows = [p.vertices for p in pathcore.parse_paths(odc9_file.read_text())]
         starter = pathcore.VertexPath((0, 1, 4, 2, 7, 5, 6, 3, 8))
         collection = odc.translates(starter)
-        assert [p.vertices for p in collection.paths] == fixture_rows
+        assert [tuple(row) for row in collection.matrix.tolist()] == fixture_rows
         report = odc.verify_odc(collection)
         assert report.double_cover_ok
         assert report.orthogonality_ok

@@ -44,6 +44,12 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--n", "6")
         assert code == 2
 
+    def test_order_at_the_64_bit_bound(self, capsys):
+        # 2n+1 would not fit in 64 bits; the message names n, not 2n+1
+        code, _, err = run(capsys, "construct", "--n", str((1 << 63) + 1))
+        assert code == 2
+        assert err == f"error: n must be below 2**63 so that 2n+1 fits in 64 bits, got {(1 << 63) + 1}\n"
+
     def test_bad_root(self, capsys):
         code, _, err = run(capsys, "construct", "--n", "9", "--root", "4")
         assert code == 2

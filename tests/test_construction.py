@@ -149,7 +149,7 @@ class TestDefects:
 class TestWitnesses:
     def test_known_witness_for_order_9(self):
         inst = construction.build_starter(9, 2)
-        w = construction.witness_pair(inst, 1)
+        w = construction.witness_certificate(inst)[1]
         assert (w.i, w.j) == (4, 8)
         assert w.edge_i == (2, 7)
         assert w.edge_j == (3, 8)
@@ -163,20 +163,12 @@ class TestWitnesses:
     def test_witness_formulas(self):
         inst = construction.build_starter(9, 2)
         p = inst.modulus
-        for k in range(1, inst.m + 1):
-            w = construction.witness_pair(inst, k)
+        for k, w in construction.witness_certificate(inst).items():
             assert w.x == pow(2, k, p)
             assert w.u == (1 - w.x) * pow(1 + w.x, -1, p) % p
             assert w.i == pow(w.u - 1, -1, p)
             assert w.j == w.x * w.i % p
             assert naive_distance_set(inst.n, w.edge_i, w.edge_j) == {k}
-
-    def test_k_bounds(self):
-        inst = construction.build_starter(9)
-        with pytest.raises(ValueError):
-            construction.witness_pair(inst, 0)
-        with pytest.raises(ValueError):
-            construction.witness_pair(inst, 5)
 
     def test_certificate_order_9(self):
         inst = construction.build_starter(9, 2)
@@ -209,8 +201,6 @@ class TestWitnesses:
                 inst = construction.build_starter(n, g)
                 cert = construction.witness_certificate(inst)
                 assert {k: dataclasses.astuple(w) for k, w in cert.items()} == witness_oracle(n, g)
-                for k, w in cert.items():
-                    assert construction.witness_pair(inst, k) == w
                 checked += 1
         assert checked == 808
 
@@ -246,10 +236,21 @@ class TestWitnesses:
         # x = root**2 derives the true distance-2 pair; claimed as any other
         # k, that pair passes every check but the distance one
         inst = construction.build_starter(9, 2)
-        w = construction.witness_pair(inst, 2)
+        w = construction.witness_certificate(inst)[2]
         msg = f"n=9, root=2, k={k}): edges {w.edge_i}, {w.edge_j} are not at distance {k}"
         with pytest.raises(RuntimeError, match=f"^internal defect \\({re.escape(msg)}$"):
             construction._witness(inst, k, w.x, construction._antilog(inst))
+
+    @pytest.mark.parametrize("forged", [9, 18, 0])
+    def test_index_without_a_terrace_position_is_a_defect(self, forged):
+        # at k = 1 the inverse of u - 1 is read from exp[2], so i = forged:
+        # n and 2n are the degenerate indices, 0 only a bad table yields.
+        # The check runs before logs[i + 1], which is out of range at i = 2n.
+        inst = construction.build_starter(9, 2)
+        exp = construction._antilog(inst)
+        exp[2] = forged
+        with pytest.raises(RuntimeError, match=r"n=9, root=2, k=1\): witness index i="):
+            construction._witness(inst, 1, exp[1], exp)
 
 
 class TestFullPipelineSmallSweep:

@@ -121,16 +121,16 @@ class TestStarterScan:
 class TestTranslates:
     def test_first_row_is_input(self):
         coll = odc.translates(STARTER_5)
-        assert coll.paths[0].vertices == STARTER_5.vertices
+        assert tuple(coll.matrix.tolist()[0]) == STARTER_5.vertices
 
     def test_rowwise_addition(self):
         coll = odc.translates(STARTER_5)
-        assert coll.paths[2].vertices == (2, 3, 0, 4, 1)
+        assert coll.matrix.tolist()[2] == [2, 3, 0, 4, 1]
 
     def test_reproduces_known_cover(self, odc9_file):
         rows = pathcore.parse_paths(odc9_file.read_text())
         coll = odc.translates(STARTER_9)
-        assert [p.vertices for p in coll.paths] == [p.vertices for p in rows]
+        assert coll.matrix.tolist() == [list(p.vertices) for p in rows]
 
 
 class TestOdcCollection:
@@ -152,14 +152,15 @@ class TestOdcCollection:
             coll.matrix[0, 0] = 3
 
     def test_matrix_is_int32_and_read_only(self):
-        for coll in (odc.translates(STARTER_9), OdcCollection(odc.translates(STARTER_9).paths)):
+        rows = [VertexPath(tuple(row)) for row in odc.translates(STARTER_9).matrix.tolist()]
+        for coll in (odc.translates(STARTER_9), OdcCollection(rows)):
             assert coll.matrix.dtype == np.int32
             assert not coll.matrix.flags.writeable
 
-    def test_paths_materialise(self):
-        coll = odc.translates(STARTER_5)  # built from the matrix alone, with no paths yet
-        assert [p.vertices for p in coll.paths] == [
-            tuple((v + t) % 5 for v in STARTER_5.vertices) for t in range(5)
+    def test_rows_are_the_translates(self):
+        coll = odc.translates(STARTER_5)
+        assert coll.matrix.tolist() == [
+            [(v + t) % 5 for v in STARTER_5.vertices] for t in range(5)
         ]
 
 
@@ -209,7 +210,7 @@ class TestVerifyOdc:
 
 def perturbed_covers(n: int, rng: random.Random) -> dict[str, list[tuple[int, ...]]]:
     """The starter's cover for n and four broken or rearranged variants."""
-    rows = [p.vertices for p in odc.translates(construction.build_starter(n).terrace).paths]
+    rows = [tuple(row) for row in odc.translates(construction.build_starter(n).terrace).matrix.tolist()]
     r = rng.randrange(n)
     swapped = list(rows[r])
     a, b = rng.sample(range(n), 2)

@@ -171,7 +171,7 @@ class TestProjection:
 class TestFixtureFormat:
     def test_round_trip(self):
         shifted = VertexPath((1, 2, 5, 3, 8, 6, 7, 4, 0))
-        text = "\n".join(map(pathcore.format_path, [STARTER_9, shifted]))
+        text = "\n".join(pathcore.format_path(p.vertices) for p in [STARTER_9, shifted])
         back = pathcore.parse_paths(text)
         assert back == [STARTER_9, shifted]
 

@@ -55,7 +55,6 @@ PUBLIC_NAMES = [
     "translates",
     "verify_odc",
     "witness_certificate",
-    "witness_pair",
 ]
 
 

@@ -54,6 +54,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"canonicalize must be a bool, got {value!r}$"):
             SearchConfig(n=9, canonicalize=value)
 
+    @pytest.mark.parametrize("value", ["distances", None])
+    def test_prune_must_be_a_prune_level(self, value):
+        # a string once ran the lengths search without complaint
+        with pytest.raises(ValueError, match=f"prune must be a PruneLevel, got {value!r}$"):
+            SearchConfig(n=9, prune=value)
+
     def test_numpy_integers_become_plain_ints(self):
         cfg = SearchConfig(n=np.int64(9), limit=np.int32(2), ceiling=np.int16(11))
         assert (cfg.n, cfg.limit, cfg.ceiling) == (9, 2, 11)
