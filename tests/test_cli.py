@@ -152,6 +152,17 @@ class TestVerify:
         assert code == 0
         assert "path 0: ok" in out
 
+    def test_terrace_that_is_not_a_starter(self, capsys, tmp_path):
+        # both lengths realise distance 2: the only distance map printed that is no bijection
+        f = tmp_path / "terrace.txt"
+        f.write_text("0,1,4,2,3\n")
+        code, out, _ = run(capsys, "verify", str(f), "--mode", "starter")
+        assert code == 1
+        assert out.splitlines()[1:] == ["path 0: FAIL not a starter"]
+        code, doc, _ = machine_doc(capsys, "verify", str(f), "--mode", "starter")
+        assert code == 1
+        assert doc["result"]["paths"] == [{"index": 0, "ok": False, "distances": [[1, 2], [2, 2]]}]
+
     def test_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "junk.txt"
         f.write_text("0,1,junk\n")
