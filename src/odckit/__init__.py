@@ -38,7 +38,6 @@ from .modnum import (
     primitive_roots,
 )
 from .odc import (
-    DistanceProfile,
     OdcCollection,
     VerificationReport,
     Violation,
@@ -91,7 +90,6 @@ __all__ = [
     "is_prime",
     "is_primitive_root",
     "primitive_roots",
-    "DistanceProfile",
     "OdcCollection",
     "VerificationReport",
     "Violation",

@@ -58,7 +58,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
     verified = odc.verify_odc(collection).ok
 
     lengths = pathcore.edge_lengths(inst.terrace)
-    distances = sorted(inst.profile.assignment.items())
     rows = collection.matrix.tolist() if args.emit in ("odc", "all") else None
     cert = construction.witness_certificate(inst) if args.emit in ("witnesses", "all") else None
 
@@ -68,7 +67,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "modulus": inst.modulus,
         "starter": list(inst.terrace.vertices),
         "lengths": list(lengths),
-        "distances": [[ell, k] for ell, k in distances],
+        "distances": [[ell, k] for ell, k in enumerate(inst.profile, 1)],
     }
     if rows is not None:
         result["odc"] = rows
@@ -83,7 +82,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"# construct n={inst.n} root={inst.root} modulus={inst.modulus} "
               f"verified={'true' if verified else 'false'}")
         print(f"# lengths {','.join(map(str, lengths))}")
-        print("# distances " + " ".join(f"{ell}->{k}" for ell, k in distances))
+        print("# distances " + " ".join(f"{ell}->{k}" for ell, k in enumerate(inst.profile, 1)))
         if args.emit in ("starter", "all"):
             print(pathcore.format_path(inst.terrace.vertices))
         if rows is not None:
@@ -177,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ok, profile = odc.is_odc_starter(p)
             row: dict[str, Any] = {"index": idx, "ok": ok}
             if profile is not None:
-                row["distances"] = [[ell, k] for ell, k in sorted(profile.assignment.items())]
+                row["distances"] = [[ell, k] for ell, k in enumerate(profile, 1)]
             rows.append(row)
         ok_all &= ok
     result = {"mode": args.mode, "paths": rows}

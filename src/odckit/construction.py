@@ -90,15 +90,15 @@ class StarterInstance:
     log_table[y] is the discrete log of y base root mod 2n+1 for y in
     [1, 2n] (slot 0 is a -1 sentinel).  The terrace entry at position i-1 is
     log_table[i] reduced mod n; in particular the terrace starts at 0.
-    profile is the scanned distance-by-length map, computed (not assumed)
-    while the starter check runs at construction.
+    profile[ell - 1] is the distance between length ell's two edges, as the
+    starter check scanned it (not assumed) at construction.
     """
 
     n: int
     root: int
     log_table: tuple[int, ...]
     terrace: VertexPath
-    profile: odc.DistanceProfile
+    profile: tuple[int, ...]
 
     @property
     def modulus(self) -> int:
@@ -231,18 +231,19 @@ def witness_certificate(inst: StarterInstance) -> dict[int, WitnessPair]:
     """Witnesses for every distance k in 1..m, cross-checked against the scan.
 
     The antilog table is derived once; x = root**k and every inverse are
-    read from it.  Each witness's length must map to its k in the scanned
-    distance profile, or it is a defect.  That makes k -> length injective
-    on terrace lengths, so the witnessed lengths are exactly 1..m.
+    read from it.  The scanned profile must give each witness's length the
+    distance k, or it is a defect.  That makes k -> length injective on
+    terrace lengths, so the witnessed lengths are exactly 1..m.
     """
     exp = _antilog(inst)
-    assignment = inst.profile.assignment
+    profile = inst.profile
     cert: dict[int, WitnessPair] = {}
     for k in range(1, inst.m + 1):
         w = _witness(inst, k, exp[k], exp)
-        if assignment.get(w.length) != k:
+        got = profile[w.length - 1 : w.length]  # empty if the profile lacks the length
+        if got != (k,):
             raise _defect(
-                inst, k, f"scan assigns distance {assignment.get(w.length)} to length {w.length}"
+                inst, k, f"scan assigns distance {got[0] if got else None} to length {w.length}"
             )
         cert[k] = w
     return cert

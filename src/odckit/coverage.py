@@ -190,10 +190,6 @@ class CoverageVerdict:
         """Certified by the discrete-log route only."""
         return self.complement_prime and self.product_cert is None
 
-    @property
-    def covered(self) -> bool:
-        return self.complement_prime or self.product_cert is not None
-
 
 def classify(n: int) -> CoverageVerdict:
     """Coverage verdict for odd n with 3 <= n < 2**63, so that 2n+1 fits in 64 bits."""

@@ -7,8 +7,10 @@ cover), and every unordered pair of members shares exactly one edge
 canonical distance 1..m is a starter: its n translates form an ODC.
 _pair_distances is the package's one starter scan: is_odc_starter (and so
 the construction) and the search's leaf and multiplier-image checks all
-run it, each once per path.  A pair's distance is the difference of its
-edges' midpoints, the identity the construction's witnesses check too.
+run it, each once per path.  Its distances, indexed by length ell at
+ell - 1 as pathcore.is_terrace indexes its counts, are the package's one
+distance map.  A pair's distance is the difference of its edges'
+midpoints, the identity the construction's witnesses check too.
 
 A collection is n plus a read-only n x n int32 matrix, one path per row.
 verify_odc counts every edge occurrence and every pairwise intersection
@@ -26,24 +28,12 @@ never load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .pathcore import VertexPath
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Distance realised by each length's edge pair in a terrace.
-
-    assignment maps every canonical length occurring exactly twice to the
-    canonical distance between its two edges.
-    """
-
-    n: int
-    assignment: Mapping[int, int]
 
 
 def _pair_distances(vs: Sequence[int], n: int) -> list[int] | None:
@@ -73,16 +63,17 @@ def _pair_distances(vs: Sequence[int], n: int) -> list[int] | None:
     return dist[1:]
 
 
-def is_odc_starter(path: VertexPath) -> tuple[bool, DistanceProfile | None]:
+def is_odc_starter(path: VertexPath) -> tuple[bool, tuple[int, ...] | None]:
     """Starter test: a terrace whose pair distances are a bijection onto [1, m].
 
-    Returns (False, None) when the path is not a terrace; otherwise the
-    profile comes back whether or not the distance map is bijective.
+    Returns (ok, distances), distances[ell - 1] being the canonical distance
+    between length ell's two edges.  distances is None when the path is not
+    a terrace; otherwise it comes back whether or not it is a bijection.
     """
     dist = _pair_distances(path.vertices, path.n)
     if dist is None:
         return False, None
-    return sorted(dist) == list(range(1, path.m + 1)), DistanceProfile(path.n, dict(enumerate(dist, 1)))
+    return sorted(dist) == list(range(1, path.m + 1)), tuple(dist)
 
 
 class OdcCollection:
@@ -165,8 +156,8 @@ class VerificationReport:
         return self.double_cover_ok and self.orthogonality_ok
 
 
-def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> VerificationReport:
-    """Exhaustively check the double-cover and orthogonality properties.
+def verify_odc(collection: OdcCollection) -> VerificationReport:
+    """Exhaustively check a collection's double-cover and orthogonality properties.
 
     Every edge of K_n must occur in exactly two member paths and every
     unordered pair of members must share exactly one edge.  All violations
@@ -187,14 +178,13 @@ def verify_odc(collection: OdcCollection | Sequence[VertexPath]) -> Verification
     """
     import numpy as np
 
-    coll = collection if isinstance(collection, OdcCollection) else OdcCollection(collection)
-    n = coll.n
+    n = collection.n
     n_edges = n * (n - 1) // 2
     shift = (n - 1).bit_length()
     key_type = np.int32 if (n * n) << shift < 2**31 else np.int64
 
-    a = coll.matrix[:, :-1]
-    b = coll.matrix[:, 1:]
+    a = collection.matrix[:, :-1]
+    b = collection.matrix[:, 1:]
     keys = np.minimum(a, b).astype(key_type, copy=False)  # a fresh array: the ops below work in place
     keys *= n
     keys += np.maximum(a, b)

@@ -132,7 +132,7 @@ class TestDefects:
 
     @pytest.mark.parametrize(
         ("result", "stage"),
-        [((False, None), "terrace"), ((False, odc.DistanceProfile(9, {})), "starter")],
+        [((False, None), "terrace"), ((False, ()), "starter")],
     )
     def test_terrace_and_starter_check_failures(self, monkeypatch, result, stage):
         monkeypatch.setattr(odc, "is_odc_starter", lambda path: result)
@@ -212,7 +212,9 @@ class TestWitnesses:
             ({"terrace": pathcore.VertexPath((0, 4, 1, 2, 7, 5, 6, 3, 8))}, "k=3"),
             # lengths 1 and 2 exchange their distances 4 and 3; k=3 is the
             # first witness to reach either (its length is 2)
-            ({"profile": odc.DistanceProfile(9, {1: 3, 2: 4, 3: 2, 4: 1})}, "k=3"),
+            ({"profile": (3, 4, 2, 1)}, "k=3"),
+            # no entry for length 4, which k=1 reaches first: a defect, not an IndexError
+            ({"profile": (4, 3, 2)}, "k=1"),
         ],
     )
     def test_forced_defect_names_n_root_and_k(self, corrupt, named):
@@ -264,7 +266,7 @@ class TestFullPipelineSmallSweep:
                 ok, profile = odc.is_odc_starter(inst.terrace)
                 assert ok, (n, g)
                 cert = construction.witness_certificate(inst)
-                assert {w.length: k for k, w in cert.items()} == dict(profile.assignment)
+                assert {w.length: k for k, w in cert.items()} == dict(enumerate(profile, 1))
                 report = odc.verify_odc(odc.translates(inst.terrace))
                 assert report.ok, (n, g)
 

@@ -112,7 +112,6 @@ class TestClassify:
         assert v.product_cert is None
         assert not v.complement_prime  # 119 = 7 * 17
         assert not v.is_new
-        assert not v.covered
 
     def test_order_15_product(self):
         v = classify(15)

@@ -40,22 +40,22 @@ class TestEdgeDistance:
     def test_length_one_pair_in_k9(self):
         # STARTER_9's length-1 edges are (0, 1) and (5, 6)
         _, profile = odc.is_odc_starter(STARTER_9)
-        assert profile.assignment[1] == 4
+        assert profile[0] == 4
         assert naive_distance_set(9, (0, 1), (5, 6)) == {4}
 
     def test_length_two_pair_in_k9(self):
         # and its length-2 edges are (4, 2) and (7, 5)
         _, profile = odc.is_odc_starter(STARTER_9)
-        assert profile.assignment[2] == 3
+        assert profile[1] == 3
         assert naive_distance_set(9, (4, 2), (7, 5)) == {3}
 
     def test_orientation_does_not_matter(self):
         # the reversed path walks every edge the other way: (1, 0), (6, 5), ...
         _, profile = odc.is_odc_starter(VertexPath(STARTER_9.vertices[::-1]))
-        assert dict(profile.assignment) == {1: 4, 2: 3, 3: 2, 4: 1}
+        assert profile == (4, 3, 2, 1)
         # this terrace walks its length-1 edges (1, 0) and (5, 6) in opposite directions
         _, profile = odc.is_odc_starter(VertexPath((1, 0, 2, 5, 6, 4, 7, 3, 8)))
-        assert profile.assignment[1] == 4
+        assert profile[0] == 4
         assert naive_distance_set(9, (1, 0), (5, 6)) == {4}
 
 
@@ -63,12 +63,12 @@ class TestStarterScan:
     def test_order_9(self):
         ok, profile = odc.is_odc_starter(STARTER_9)
         assert ok
-        assert dict(profile.assignment) == {1: 4, 2: 3, 3: 2, 4: 1}
+        assert profile == (4, 3, 2, 1)
 
     def test_order_15(self):
         ok, profile = odc.is_odc_starter(STARTER_15)
         assert ok
-        assert dict(profile.assignment) == {1: 6, 2: 2, 3: 4, 4: 3, 5: 7, 6: 1, 7: 5}
+        assert profile == (6, 2, 4, 3, 7, 1, 5)
 
     def test_non_terrace(self):
         ok, profile = odc.is_odc_starter(VertexPath((0, 1, 2, 3, 4)))
@@ -84,7 +84,7 @@ class TestStarterScan:
         ok, profile = odc.is_odc_starter(path)
         assert not ok
         assert profile is not None
-        assert dict(profile.assignment) == {1: 1, 2: 1, 3: 1}
+        assert profile == (1, 1, 1)
 
     @pytest.mark.parametrize("n", [7, 9])
     def test_every_path_from_zero_matches_the_oracle(self, n):
@@ -98,8 +98,7 @@ class TestStarterScan:
             assert ok == starter, vs
             assert (profile is None) == (want is None), vs
             if profile is not None:
-                assert profile.n == n
-                assert dict(profile.assignment) == want, vs
+                assert dict(enumerate(profile, 1)) == want, vs
             kinds[want is not None, starter] += 1
         assert len(kinds) == (2 if n == 7 else 3)  # Z_7 has no starter
 
@@ -174,7 +173,7 @@ class TestVerifyOdc:
         assert report.violations == ()
 
     def test_copies_of_one_path_fail_both(self):
-        report = odc.verify_odc([STARTER_9] * 9)
+        report = odc.verify_odc(OdcCollection([STARTER_9] * 9))
         assert not report.double_cover_ok
         assert not report.orthogonality_ok
         edge_violations = [v for v in report.violations if v.kind == "edge"]
@@ -194,7 +193,7 @@ class TestVerifyOdc:
     def test_violations_empty_iff_both_ok(self):
         good = odc.verify_odc(odc.translates(STARTER_15))
         assert good.ok and good.violations == ()
-        bad = odc.verify_odc([STARTER_9] * 9)
+        bad = odc.verify_odc(OdcCollection([STARTER_9] * 9))
         assert not bad.ok and bad.violations
 
     def test_starter_translates_pass(self):
@@ -203,8 +202,8 @@ class TestVerifyOdc:
             assert report.ok, starter
 
     def test_deterministic_report(self):
-        a = odc.verify_odc([STARTER_9] * 9)
-        b = odc.verify_odc([STARTER_9] * 9)
+        a = odc.verify_odc(OdcCollection([STARTER_9] * 9))
+        b = odc.verify_odc(OdcCollection([STARTER_9] * 9))
         assert a == b
 
 
@@ -242,7 +241,7 @@ class TestVerifyAgainstOracle:
     def test_full_report_matches_oracle(self, n):
         rng = random.Random(1000 + n)
         for name, rows in perturbed_covers(n, rng).items():
-            report = odc.verify_odc([VertexPath(r) for r in rows])
+            report = odc.verify_odc(OdcCollection([VertexPath(r) for r in rows]))
             assert report_triple(report) == oracle_verify(rows), (n, name)
 
     @pytest.mark.parametrize("n", [1019, 1031])

@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "ConstructionComparison",
     "CoverageVerdict",
     "DirectedTerrace",
-    "DistanceProfile",
     "FormTag",
     "NewValue",
     "NotEligibleError",
@@ -71,8 +70,8 @@ def test_readme_library_example_runs_as_documented():
     # the four values its comments show
     assert "# (0, 1, 4, 2, 7, 5, 6, 3, 8)" in code
     assert ns["inst"].terrace.vertices == (0, 1, 4, 2, 7, 5, 6, 3, 8)
-    assert "# {1: 4, 2: 3, 3: 2, 4: 1}" in code
-    assert dict(ns["profile"].assignment) == {1: 4, 2: 3, 3: 2, 4: 1}
+    assert "# (4, 3, 2, 1)" in code
+    assert ns["profile"] == (4, 3, 2, 1)
     assert "report.ok                               # True" in code
     assert ns["report"].ok is True
     assert "odckit.classify(23).is_new              # True" in code
