@@ -11,22 +11,21 @@ so a node tries only those, and takes edge lengths from a table built once.
 Each call returns its own placement count instead of updating shared state,
 and the last vertex of a path is placed in its parent's loop, not by a call.
 
-Only one subtree per orbit of the second vertex under the units of Z_n is
-searched.  For a unit a, x -> a*x fixes 0 and sends edge length l to +-a*l
-and pair distance k to +-a*k, both permutations of 1..m: the multiplier
-equivalence of M. A. Ollis, Sequenceable groups and related topics,
-Electron. J. Combin., Dynamic Survey DS10.  It carries the subtree of paths
-starting (0, d) node for node onto the subtree starting (0, a*d), because
-both cuts look only at how often each length occurs and which distances are
-taken, and it maps starters to starters.  The second vertices t with
-gcd(t, n) = d form one orbit, so the search explores the subtree of each
-divisor d < n of n, with the scan as its leaf filter; every other subtree
-gets the representative's node count and its starters mapped by a unit a
-with a*d = t (mod n), then sorted, and the scan runs on each image as a
-check that cannot fail (RuntimeError if it does).  Results and
-nodes_explored are those of the unquotiented tree.  When a limit would be
-reached inside a mapped subtree, that subtree is searched directly, so the
-stop and the node count stay exact.
+Only one child per orbit of a node's stabiliser is searched.  For a unit a
+of Z_n, x -> a*x fixes 0 and sends edge length l to +-a*l and pair distance
+k to +-a*k, both permutations of 1..m: the multiplier equivalence of M. A.
+Ollis, Sequenceable groups and related topics, Electron. J. Combin., Dynamic
+Survey DS10.  With g = gcd(n, placed vertices), the units a = 1 (mod n/g)
+fix the placed vertices, so each carries the subtree below a child t node
+for node onto the one below a*t, starters onto starters: both cuts look only
+at how often each length occurs and which distances are taken.  The root is
+the case g = n: every unit, one orbit of second vertices per divisor of n.
+The least child r of each orbit is searched, by the kernel with the scan as
+leaf filter once only a = 1 fixes the prefix; every other child t gets r's
+node count and r's starters mapped by an a with a*r = t, sorted and scanned
+as a check that cannot fail (RuntimeError if it does).  Results and
+nodes_explored are the unquotiented tree's, under a limit too: a mapped
+subtree where the limit would be reached is searched directly.
 
 With canonicalisation on, exactly one representative per equivalence class
 under translation and reversal is kept: the lexicographically least member
@@ -109,13 +108,33 @@ def _canonical_tuple(vs: tuple[int, ...], n: int) -> tuple[int, ...]:
     return min(vs, rev)
 
 
-def _explore(n: int, second: int, prune: PruneLevel, on_leaf: Callable[[tuple[int, ...]], bool]) -> int:
-    """Depth-first search of the subtree of paths that start (0, second).
+def _seed(n: int, prefix: tuple[int, ...], prune: PruneLevel) -> tuple[list[int], list[int], list[bool]] | None:
+    """_explore's counts, sums and taken after prefix's edges, or None if a cut rejects one."""
+    cap = n if prune is PruneLevel.NONE else 2
+    counts, sums, taken = [0] * n, [0] * n, [False] * n  # indexed by length or distance, 1..(n-1)/2
+    for u, v in zip(prefix, prefix[1:]):
+        length = min((v - u) % n, (u - v) % n)
+        c = counts[length]
+        if c == cap:
+            return None
+        if not c:
+            sums[length] = u + v
+        elif prune is PruneLevel.DISTANCES:
+            k = min(s := (u + v - sums[length]) * (n + 1) // 2 % n, n - s)
+            if taken[k]:
+                return None
+            taken[k] = True
+        counts[length] = c + 1
+    return counts, sums, taken
 
-    Unused vertices are tried in ascending order, so leaves arrive in
-    lexicographic order; on_leaf sees every full-length path and returns
-    True to stop the search.  Returns the vertex placements performed,
-    second's included.
+
+def _explore(n: int, prefix: tuple[int, ...], prune: PruneLevel, on_leaf: Callable[[tuple[int, ...]], bool]) -> int:
+    """Depth-first search of the paths that start with prefix, which passes the cuts.
+
+    prefix leaves two or more vertices unused (or is (0, t) at n = 3), which
+    are tried in ascending order, so leaves arrive in lexicographic order;
+    on_leaf sees every full-length path and returns True to stop the search.
+    Returns the vertex placements performed, prefix's last vertex included.
 
     The inner dfs returns the placements below its node, negated once
     on_leaf has stopped the search, so a stop unwinds without restoring
@@ -124,23 +143,17 @@ def _explore(n: int, second: int, prune: PruneLevel, on_leaf: Callable[[tuple[in
     the endpoint sum of each length's first edge.
     """
     if n == 3:
-        # (0, second, 3 - second): both edges have length 1 and distance 1, which no cut rejects
-        on_leaf((0, second, 3 - second))
+        # (0, t, 3 - t): both edges have length 1 and distance 1, which no cut rejects
+        on_leaf((0, prefix[1], 3 - prefix[1]))
         return 2
-    m = (n - 1) // 2
     half = (n + 1) // 2  # the inverse of 2 mod n
     ell = [[min((v - u) % n, (u - v) % n) for v in range(n)] for u in range(n)]
     # distance of two same-length edges whose endpoint sums differ by s (mod n)
     pair_distance = [ell[0][s * half % n] for s in range(n)]
     cap = n if prune is PruneLevel.NONE else 2  # a length held cap times cuts; none is held n times
     cut_distances = prune is PruneLevel.DISTANCES
-    counts = [0] * (m + 1)
-    sums = [0] * (m + 1)  # endpoint sum of each length's first edge, for the DISTANCES cut
-    taken = [False] * (m + 1)  # distances of completed pairs; index 0 is never a real one
-    counts[ell[0][second]] = 1
-    sums[ell[0][second]] = second
-    path = [0] * n
-    path[1] = second
+    counts, sums, taken = _seed(n, prefix, prune)  # taken[0] is never a real distance
+    path = [*prefix] + [0] * (n - len(prefix))
     penult = n - 2
 
     def dfs(depth: int, prev: int, free: tuple[int, ...]) -> int:
@@ -185,7 +198,80 @@ def _explore(n: int, second: int, prune: PruneLevel, on_leaf: Callable[[tuple[in
             taken[k] = False
         return nodes
 
-    return 1 + abs(dfs(2, second, tuple(v for v in range(1, n) if v != second)))
+    try:
+        return 1 + abs(dfs(len(prefix), prefix[-1], tuple(v for v in range(1, n) if v not in prefix)))
+    finally:
+        dfs = None  # dfs reaches itself through its closure cell: break that cycle
+
+
+def _walk(cfg: SearchConfig, root: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """Placements in the subtree at root, which passes the cuts, root's last vertex
+    included, and the starters it keeps (all, or the canonical ones) up to the limit."""
+    n, prune, limit = cfg.n, cfg.prune, cfg.limit
+    found: list[tuple[int, ...]] = []
+    all_distances = list(range(1, (n - 1) // 2 + 1))
+
+    def is_starter(vs: tuple[int, ...]) -> bool:
+        dist = odc._pair_distances(vs, n)
+        return dist is not None and sorted(dist) == all_distances
+
+    def canonical(vs: tuple[int, ...]) -> bool:
+        return not cfg.canonicalize or vs == _canonical_tuple(vs, n)
+
+    def walk(prefix: tuple[int, ...], keep: bool) -> tuple[int, list[tuple[int, ...]]] | None:
+        """Placements in the subtree at prefix and, if keep, all its starters; None if prefix is cut."""
+        if _seed(n, prefix, prune) is None:
+            return None
+        survivors: list[tuple[int, ...]] = []
+        g = gcd(n, *prefix)
+        if g == 1:  # only a = 1 fixes prefix
+
+            def on_leaf(vs: tuple[int, ...]) -> bool:
+                if not is_starter(vs):
+                    return False
+                if keep:
+                    survivors.append(vs)
+                if canonical(vs):
+                    found.append(vs)
+                return len(found) == limit
+
+            return _explore(n, prefix, prune, on_leaf), survivors
+        units = [a for a in range(1, n, n // g) if gcd(a, n) == 1]  # the units fixing prefix
+        nodes = 1
+        subtrees: dict[int, tuple[int, list[tuple[int, ...]]] | None] = {}  # searched child -> its walk
+        for t in sorted(set(range(1, n)).difference(prefix)):
+            r = min(a * t % n for a in units)  # the least child of t's orbit
+            if r == t:
+                # the rest of t's orbit, if any, maps its starters; there is none when gcd(g, t) = g
+                subtrees[t] = walk((*prefix, t), keep or gcd(g, t) < g)
+            if subtrees[r] is None:  # r, and so t, fails the cuts
+                continue
+            sub_nodes, sub = subtrees[r]
+            if r != t:
+                a = next(a for a in units if a * r % n == t)
+                sub = sorted(tuple(a * v % n for v in vs) for vs in sub)
+                kept = [vs for vs in sub if canonical(vs)]
+                if limit is not None and len(found) + len(kept) >= limit:
+                    # the stop falls inside this subtree: search it for the exact node count
+                    return nodes + walk((*prefix, t), False)[0], survivors
+                for vs in sub:
+                    if not is_starter(vs):
+                        raise RuntimeError(
+                            f"internal defect (n={n}): {vs}, the image of a starter under x -> {a}*x, "
+                            "fails the starter scan"
+                        )
+                found.extend(kept)
+            nodes += sub_nodes
+            if keep:
+                survivors.extend(sub)
+            if len(found) == limit:
+                break
+        return nodes, survivors
+
+    try:
+        return walk(root, False)[0], found
+    finally:
+        walk = None  # walk reaches itself through its closure cell: break that cycle
 
 
 def enumerate_starters(cfg: SearchConfig) -> SearchResult:
@@ -194,68 +280,12 @@ def enumerate_starters(cfg: SearchConfig) -> SearchResult:
     Completeness holds for every prune level: the cuts only discard prefixes
     that cannot extend to a terrace (a length already used twice) or to a
     bijective distance map (a distance already taken by a completed pair).
-    Only the subtree of each unit-orbit representative is searched; the
-    others are its images under a multiplier, each scanned once as a defect
-    check (module docstring).
+    Only one child per multiplier orbit is searched; the others are its
+    images, each scanned once as a defect check (module docstring).
     """
-    n = cfg.n
-    limit = cfg.limit
     start = time.perf_counter()
-    found: list[tuple[int, ...]] = []
-    nodes = 1  # the fixed vertex 0
-    scan = odc._pair_distances
-    all_distances = list(range(1, (n - 1) // 2 + 1))
-
-    def is_starter(vs: tuple[int, ...]) -> bool:
-        dist = scan(vs, n)
-        return dist is not None and sorted(dist) == all_distances
-
-    def canonical(vs: tuple[int, ...]) -> bool:
-        return not cfg.canonicalize or vs == _canonical_tuple(vs, n)
-
-    def emit(vs: tuple[int, ...]) -> bool:
-        """Store a kept starter; True once the limit is reached."""
-        found.append(vs)
-        return len(found) == limit
-
-    # representative d -> (its full-length starters, its nodes)
-    subtrees: dict[int, tuple[list[tuple[int, ...]], int]] = {}
-    for t in range(1, n):
-        d = gcd(t, n)
-        if d == t:
-            survivors: list[tuple[int, ...]] = []
-
-            def on_leaf(vs: tuple[int, ...]) -> bool:
-                if not is_starter(vs):
-                    return False
-                survivors.append(vs)
-                return canonical(vs) and emit(vs)
-
-            sub_nodes = _explore(n, t, cfg.prune, on_leaf)
-            nodes += sub_nodes
-            subtrees[t] = (survivors, sub_nodes)
-            if len(found) == limit:
-                break
-        else:
-            survivors, sub_nodes = subtrees[d]
-            a = next(a for a in range(1, n) if gcd(a, n) == 1 and a * d % n == t)
-            mapped = sorted(tuple(a * v % n for v in vs) for vs in survivors)
-            kept = [vs for vs in mapped if canonical(vs)]
-            if limit is not None and len(found) + len(kept) >= limit:
-                # the stop falls inside this subtree: search it for the exact node count
-                nodes += _explore(n, t, cfg.prune, lambda vs: is_starter(vs) and canonical(vs) and emit(vs))
-                break
-            nodes += sub_nodes
-            for vs in mapped:
-                if not is_starter(vs):
-                    raise RuntimeError(
-                        f"internal defect (n={n}): {vs}, the image of a starter under x -> {a}*x, "
-                        "fails the starter scan"
-                    )
-            found.extend(kept)
-
-    starters = tuple(VertexPath(vs) for vs in found)
-    return SearchResult(starters, nodes, time.perf_counter() - start)
+    nodes, found = _walk(cfg, (0,))
+    return SearchResult(tuple(VertexPath(vs) for vs in found), nodes, time.perf_counter() - start)
 
 
 @dataclass(frozen=True)

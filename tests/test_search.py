@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import time
@@ -7,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import reference_enumerate
+from helpers import reference_enumerate, starter_by_injectivity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from odckit.search import (
     PruneLevel,
     SearchConfig,
     _explore,
+    _walk,
     canonical_form,
     compare_with_construction,
     enumerate_starters,
@@ -169,7 +171,7 @@ class TestKernel:
             rest = [v for v in range(1, n) if v != t]
             want = [(0, t, *q) for q in itertools.permutations(rest)]
             leaves = []
-            nodes = _explore(n, t, PruneLevel.NONE, collect(leaves))
+            nodes = _explore(n, (0, t), PruneLevel.NONE, collect(leaves))
             assert leaves == want
             # the second vertex, then every partial arrangement of the n - 2 others
             assert nodes == 1 + sum(math.perm(n - 2, j) for j in range(1, n - 1))
@@ -181,10 +183,20 @@ class TestKernel:
             rest = [v for v in range(1, n) if v != t]
             first = list(itertools.islice(itertools.permutations(rest), k))
             leaves = []
-            nodes = _explore(n, t, PruneLevel.NONE, collect(leaves, stop_at=k))
+            nodes = _explore(n, (0, t), PruneLevel.NONE, collect(leaves, stop_at=k))
             assert leaves == [(0, t, *q) for q in first]
             # placements so far: the second vertex and each distinct prefix of the leaves seen
             assert nodes == 1 + len({q[:j] for q in first for j in range(1, n - 1)})
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_unpruned_subtree_from_a_three_vertex_prefix(self, n):
+        for t, u in itertools.permutations(range(1, n), 2):
+            rest = [v for v in range(1, n) if v not in (t, u)]
+            leaves = []
+            nodes = _explore(n, (0, t, u), PruneLevel.NONE, collect(leaves))
+            assert leaves == [(0, t, u, *q) for q in itertools.permutations(rest)]
+            # u, then every partial arrangement of the n - 3 others
+            assert nodes == 1 + sum(math.perm(n - 3, j) for j in range(1, n - 2))
 
 
 class TestMultiplierQuotient:
@@ -216,6 +228,30 @@ class TestMultiplierQuotient:
         res = enumerate_starters(SearchConfig(n=11, prune=level, canonicalize=False, limit=limit))
         want = reference_enumerate(11, level.value, False, limit)
         assert (starter_tuples(res), res.nodes_explored) == want
+
+    @pytest.mark.parametrize(
+        ("canonicalize", "limit"), [(False, 23), (False, 24), (False, 25), (False, 26), (True, 19), (True, 20), (True, 21)]
+    )
+    @pytest.mark.parametrize("level", list(PruneLevel), ids=lambda level: level.value)
+    def test_stop_inside_a_nested_mapped_subtree(self, level, canonicalize, limit):
+        # below (0, 3), fixed by 1, 4 and 7, the first starters of (0, 3, 4, ...),
+        # (0, 3, 5, ...), (0, 3, 7, ...) and (0, 3, 8, ...) are the 23rd to 26th
+        # from 0, and (0, 3, 4, ...) to (0, 3, 7, ...) hold the 19th to 21st canonical ones
+        res = enumerate_starters(SearchConfig(n=9, prune=level, canonicalize=canonicalize, limit=limit))
+        want = reference_enumerate(9, level.value, canonicalize, limit)
+        assert (starter_tuples(res), res.nodes_explored) == want
+        assert res.starters[-1].vertices[:2] == (0, 3)
+
+    def test_nested_walk_matches_the_kernel_at_order_15(self):
+        # (0, 5, 10) is fixed by the units 1, 4, 7 and 13: the walk searches the
+        # children 1, 2 and 3 and maps each of them onto three others
+        prefix = (0, 5, 10)
+        nodes, starters = _walk(SearchConfig(n=15, prune=PruneLevel.DISTANCES, canonicalize=False), prefix)
+        leaves = []
+        direct = _explore(15, prefix, PruneLevel.DISTANCES, collect(leaves))
+        assert starters
+        assert starters == [vs for vs in leaves if starter_by_injectivity(vs)]
+        assert nodes == direct
 
     def test_order_13_counts_within_budget(self):
         # both counts from the unquotiented search, which takes 25-42 s on 2 CPUs
@@ -253,6 +289,26 @@ class TestOneScanPerPath:
         monkeypatch.setattr(odc, "_pair_distances", lambda vs, n: scan(vs, n) if n % vs[1] == 0 else None)
         with pytest.raises(RuntimeError, match=r"n=9\): \(0, 2, .*the image of a starter under x -> 2\*x"):
             enumerate_starters(SearchConfig(n=9))
+
+    def test_a_nested_image_failing_the_scan_is_a_defect(self, monkeypatch):
+        # below (0, 3) the paths (0, 3, 4, ...) are images of (0, 3, 1, ...) under x -> 4*x
+        scan = odc._pair_distances
+        monkeypatch.setattr(odc, "_pair_distances", lambda vs, n: None if vs[:3] == (0, 3, 4) else scan(vs, n))
+        with pytest.raises(RuntimeError, match=r"n=9\): \(0, 3, 4, .*the image of a starter under x -> 4\*x"):
+            enumerate_starters(SearchConfig(n=9, canonicalize=False))
+
+
+class TestNoReferenceCycles:
+    def test_enumeration_leaves_no_garbage(self):
+        # every object of a search is freed by reference counting alone
+        gc.collect()
+        gc.disable()
+        try:
+            for canonicalize in (True, False):
+                enumerate_starters(SearchConfig(n=9, canonicalize=canonicalize))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCanonicalForm:
