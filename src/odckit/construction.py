@@ -14,12 +14,15 @@ apart, and points at the literal positions of those edges in the terrace.
 A certificate is one walk over k = 1..m.  The antilog table, read off the
 log table once, gives x = g**k and every inverse as a lookup, and each k's
 quantities u, i, j, its two edges, their length and their distance are
-derived and checked once.
+derived and checked once.  The certificate is a read-only
+Mapping[int, WitnessPair] over the witnesses built in that walk.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import modnum, odc, pathcore
 from .pathcore import DirectedTerrace, VertexPath
@@ -47,11 +50,13 @@ def eligibility_modulus(n: int) -> int:
 
 
 def _log_terrace(n: int, root: int | None) -> tuple[int, list[int], DirectedTerrace]:
-    """Eligibility, root, log table and the unchecked directed terrace of logs.
+    """Eligibility, root, log table and the directed terrace of logs.
 
     eligibility_modulus is the one primality test of p; the modnum cores
     called after it skip their own.  The log table's repeat check is the one
-    test of an explicit root.
+    test of an explicit root, and the one proof that the logs are a
+    permutation, so the terrace is built without a second one.  Whether it
+    is a symmetric directed terrace is left to the caller's check.
     """
     p = eligibility_modulus(n)
     if root is None:
@@ -62,7 +67,8 @@ def _log_terrace(n: int, root: int | None) -> tuple[int, list[int], DirectedTerr
         logs = modnum._discrete_log_table(g, p)
     except ValueError:
         raise ValueError(f"{root} is not a primitive root of {p}") from None
-    return g, logs, DirectedTerrace(tuple(logs[1:]))
+    # the repeat check has proved logs[1:] a permutation of 0..2n-1
+    return g, logs, DirectedTerrace._trusted(tuple(logs[1:]))
 
 
 def _stage_defect(n: int, root: int, stage: str) -> RuntimeError:
@@ -175,6 +181,8 @@ def _witness(inst: StarterInstance, k: int, x: int, exp: list[int]) -> WitnessPa
     and (j, j+1) project to terrace edges of equal length exactly k apart.
     A failed check is a defect.  The inverse of y is root**(2n - log y),
     which is exp[-log y] by Python's negative indexing (exp[0] = 1 for y = 1).
+    The edges are checked as endpoint pairs; the returned WitnessPair's
+    edge tuples hold the terrace's own vertex ints.
     """
     n = inst.n
     two_n = 2 * n
@@ -193,57 +201,74 @@ def _witness(inst: StarterInstance, k: int, x: int, exp: list[int]) -> WitnessPa
     if not 1 <= pos_j < n:
         raise _defect(inst, k, f"witness index j={j} names no terrace edge")
 
-    a, b = logs[i] % n, logs[i + 1] % n
-    e_i = (a, b) if a < b else (b, a)
-    a, b = logs[j] % n, logs[j + 1] % n
-    e_j = (a, b) if a < b else (b, a)
-
+    # Each edge's endpoints, sorted, must be the terrace's at its position;
+    # the witness then holds the terrace's own ints.
     vs = inst.terrace.vertices
-    for pos, e in ((pos_i, e_i), (pos_j, e_j)):
-        a, b = vs[pos - 1], vs[pos]
-        if ((a, b) if a < b else (b, a)) != e:
-            raise _defect(inst, k, f"edge {e} is not the terrace edge at position {pos}")
+    a_i, b_i = vs[pos_i - 1], vs[pos_i]
+    if a_i > b_i:
+        a_i, b_i = b_i, a_i
+    lo, hi = logs[i] % n, logs[i + 1] % n
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo != a_i or hi != b_i:
+        raise _defect(inst, k, f"edge {(lo, hi)} is not the terrace edge at position {pos_i}")
+    a_j, b_j = vs[pos_j - 1], vs[pos_j]
+    if a_j > b_j:
+        a_j, b_j = b_j, a_j
+    lo, hi = logs[j] % n, logs[j + 1] % n
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo != a_j or hi != b_j:
+        raise _defect(inst, k, f"edge {(lo, hi)} is not the terrace edge at position {pos_j}")
 
-    # Both edges are now literal terrace edges, sorted, so 0 < hi - lo < n.
+    # Both edges are now literal terrace edges, sorted, so 0 < b - a < n.
     ell = logs[u] % n
     if 2 * ell > n:
         ell = n - ell
-    d_i = e_i[1] - e_i[0]
-    d_j = e_j[1] - e_j[0]
+    d_i = b_i - a_i
+    d_j = b_j - a_j
     if (d_i if 2 * d_i < n else n - d_i) != ell or (d_j if 2 * d_j < n else n - d_j) != ell:
-        raise _defect(inst, k, f"edges {e_i}, {e_j} do not share length {ell}")
+        raise _defect(inst, k, f"edges {(a_i, b_i)}, {(a_j, b_j)} do not share length {ell}")
     # Translating an edge by k moves its midpoint by k, as in odc._pair_distances.
-    dist = (e_j[0] + e_j[1] - e_i[0] - e_i[1]) * ((n + 1) // 2) % n
+    dist = (a_j + b_j - a_i - b_i) * ((n + 1) // 2) % n
     if (dist if 2 * dist < n else n - dist) != k:
-        raise _defect(inst, k, f"edges {e_i}, {e_j} are not at distance {k}")
-
-    # The frozen dataclass __init__ sets each field through object.__setattr__;
-    # filling __dict__ directly builds the same instance at half the cost.
+        raise _defect(inst, k, f"edges {(a_i, b_i)}, {(a_j, b_j)} are not at distance {k}")
+    # the frozen dataclass __init__ sets each field through object.__setattr__;
+    # filling __dict__ in field order builds the same instance in a third of the time
     w = object.__new__(WitnessPair)
-    w.__dict__.update(
-        k=k, x=x, u=u, i=i, j=j, edge_i=e_i, edge_j=e_j, length=ell,
-        edge_index_i=pos_i - 1, edge_index_j=pos_j - 1,
-    )
+    d = w.__dict__
+    d["k"] = k
+    d["x"] = x
+    d["u"] = u
+    d["i"] = i
+    d["j"] = j
+    d["edge_i"] = (a_i, b_i)
+    d["edge_j"] = (a_j, b_j)
+    d["length"] = ell
+    d["edge_index_i"] = pos_i - 1
+    d["edge_index_j"] = pos_j - 1
     return w
 
 
-def witness_certificate(inst: StarterInstance) -> dict[int, WitnessPair]:
+def witness_certificate(inst: StarterInstance) -> Mapping[int, WitnessPair]:
     """Witnesses for every distance k in 1..m, cross-checked against the scan.
 
     The antilog table is derived once; x = root**k and every inverse are
     read from it.  The scanned profile must give each witness's length the
     distance k, or it is a defect.  That makes k -> length injective on
-    terrace lengths, so the witnessed lengths are exactly 1..m.
+    terrace lengths, so the witnessed lengths are exactly 1..m.  The result
+    is a read-only mapping k -> WitnessPair over k = 1..m, ascending.
     """
     exp = _antilog(inst)
     profile = inst.profile
-    cert: dict[int, WitnessPair] = {}
+    cert = {}
     for k in range(1, inst.m + 1):
         w = _witness(inst, k, exp[k], exp)
-        got = profile[w.length - 1 : w.length]  # empty if the profile lacks the length
+        ell = w.length
+        got = profile[ell - 1 : ell]  # empty if the profile lacks the length
         if got != (k,):
             raise _defect(
-                inst, k, f"scan assigns distance {got[0] if got else None} to length {w.length}"
+                inst, k, f"scan assigns distance {got[0] if got else None} to length {ell}"
             )
         cert[k] = w
-    return cert
+    return MappingProxyType(cert)

@@ -21,6 +21,7 @@ from fixture files need no trusted metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable
 
 from .modnum import _strict_int
@@ -82,10 +83,13 @@ def is_terrace(path: VertexPath) -> tuple[bool, list[int]]:
 class DirectedTerrace:
     """An arrangement of all elements of Z_{2n} with its difference sequence.
 
-    entries must be a permutation of 0..2n-1 (2n even, at least 6); the
-    sequencing holds the 2n-1 consecutive differences mod 2n.  Whether the
-    arrangement is actually a (symmetric) directed terrace is decided by
-    is_symmetric_directed_terrace, not by construction.
+    entries must be a permutation of 0..2n-1 (2n even, at least 6), which
+    the constructor checks; the sequencing holds the 2n-1 consecutive
+    differences mod 2n.  Whether the arrangement is actually a (symmetric)
+    directed terrace is decided by is_symmetric_directed_terrace, not by
+    construction.  The discrete-log construction builds its terrace through
+    _trusted, because the log table's repeat check has already proved the
+    logs a permutation.
     """
 
     entries: tuple[int, ...]
@@ -93,14 +97,27 @@ class DirectedTerrace:
 
     def __post_init__(self) -> None:
         es = _strict_ints(self.entries, "every entry")
-        object.__setattr__(self, "entries", es)
         k = len(es)
         if k < 6 or k % 2:
             raise ValueError(f"order must be even and >= 6, got {k}")
         if set(es) != set(range(k)):
             raise ValueError(f"entries must be a permutation of 0..{k - 1}")
-        seq = tuple((es[i + 1] - es[i]) % k for i in range(k - 1))
-        object.__setattr__(self, "sequencing", seq)
+        self._fill(es)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> DirectedTerrace:
+        """The terrace of entries without the constructor's checks.
+
+        The caller must already have proved entries a tuple of plain ints
+        forming a permutation of 0..2n-1 with 2n even and at least 6.
+        """
+        obj = object.__new__(cls)
+        obj._fill(entries)
+        return obj
+
+    def _fill(self, es: tuple[int, ...]) -> None:
+        k = len(es)
+        self.__dict__.update(entries=es, sequencing=tuple([(b - a) % k for a, b in zip(es, es[1:])]))
 
     @property
     def order(self) -> int:
@@ -115,7 +132,9 @@ def is_symmetric_directed_terrace(t: DirectedTerrace) -> bool:
     b_i == -b_{2n-i} must hold for 1 <= i <= n-1.  Those conditions pin the
     centre difference b_n to the involution n, which is checked explicitly
     rather than assumed.  That the entries are a permutation of 0..2n-1 is
-    enforced when the DirectedTerrace is built.
+    not re-checked: the public constructor checks it, and a terrace built
+    through DirectedTerrace._trusted rests on its caller's proof (for the
+    discrete-log construction, the log table's repeat check with p prime).
     """
     k = t.order
     n = k // 2
@@ -124,7 +143,8 @@ def is_symmetric_directed_terrace(t: DirectedTerrace) -> bool:
         return False
     if b[n - 1] != n:
         return False
-    return all(b[i - 1] == (-b[k - i - 1]) % k for i in range(1, n))
+    # the set check put every b_i in [1, 2n - 1], so b_i == -b_{2n-i} mod 2n means they sum to 2n
+    return list(map(add, b[: n - 1], reversed(b[n:]))) == [k] * (n - 1)
 
 
 def project_to_half(t: DirectedTerrace) -> VertexPath:
@@ -136,7 +156,7 @@ def project_to_half(t: DirectedTerrace) -> VertexPath:
     if not is_symmetric_directed_terrace(t):
         raise ValueError("not a symmetric directed terrace")
     n = t.order // 2
-    return VertexPath(tuple(e % n for e in t.entries[:n]))
+    return VertexPath(tuple([e % n for e in t.entries[:n]]))
 
 
 def parse_paths(text: str) -> list[VertexPath]:

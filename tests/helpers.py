@@ -36,6 +36,17 @@ def multiplicative_order(g: int, p: int) -> int:
     return order
 
 
+def sweep_pairs(max_n: int = 99) -> list[tuple[int, int]]:
+    """Every (n, g) with 3 <= n <= max_n odd, 2n+1 prime and g a primitive
+    root of 2n+1, ascending, by sieve and order scans."""
+    pairs = []
+    for p in sieve_primes(2 * max_n + 1):
+        n = (p - 1) // 2
+        if n >= 3 and n % 2:
+            pairs.extend((n, g) for g in range(2, p) if multiplicative_order(g, p) == p - 1)
+    return pairs
+
+
 def power_table_logs(g: int, p: int) -> dict[int, int]:
     """Brute-force discrete-log table: value -> exponent, from iterated powers."""
     logs = {}
@@ -44,6 +55,22 @@ def power_table_logs(g: int, p: int) -> dict[int, int]:
         logs[acc] = e
         acc = acc * g % p
     return logs
+
+
+def symmetric_directed_terrace_oracle(entries: tuple[int, ...]) -> tuple[list[int], bool]:
+    """(b_1..b_{2n-1}, whether entries form a symmetric directed terrace of Z_{2n}).
+
+    b_i is entries[i] - entries[i-1] mod 2n.  The arrangement qualifies when
+    every non-zero difference occurs exactly once, the centre difference b_n
+    is n, and b_i == -b_{2n-i} mod 2n for every i, each read off the
+    definition by counting and by index.
+    """
+    order = len(entries)
+    n = order // 2
+    b = [(entries[i] - entries[i - 1]) % order for i in range(1, order)]
+    once = Counter(b) == Counter(range(1, order))
+    mirrored = all(b[i - 1] == (-b[order - i - 1]) % order for i in range(1, order))
+    return b, once and b[n - 1] == n and mirrored
 
 
 def naive_distance_set(n: int, e1: tuple[int, int], e2: tuple[int, int]) -> set[int]:

@@ -2,10 +2,18 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import multiplicative_order, naive_distance_set, power_table_logs, sieve_primes, witness_oracle
+from helpers import (
+    multiplicative_order,
+    naive_distance_set,
+    power_table_logs,
+    sieve_primes,
+    sweep_pairs,
+    witness_oracle,
+)
 
 from odckit import cli, construction, coverage, modnum, odc, pathcore
 from odckit.construction import NotEligibleError
@@ -222,6 +230,22 @@ class TestWitnesses:
         with pytest.raises(RuntimeError, match=f"n=9, root=2, {named}\\)"):
             construction.witness_certificate(inst)
 
+    @pytest.mark.parametrize(
+        ("vertices", "message"),
+        [
+            # 0 and 1 swapped: k=2's first edge is no longer the terrace's
+            ((1, 0, 4, 2, 7, 5, 6, 3, 8), r"k=2\): edge \(1, 4\) is not the terrace edge at position 2$"),
+            # 0 and 5 swapped: k=3's first edge survives, its second does not
+            ((5, 1, 4, 2, 7, 0, 6, 3, 8), r"k=3\): edge \(5, 7\) is not the terrace edge at position 5$"),
+        ],
+    )
+    def test_each_edge_is_checked_against_the_terrace(self, vertices, message):
+        inst = dataclasses.replace(
+            construction.build_starter(9, 2), terrace=pathcore.VertexPath(vertices)
+        )
+        with pytest.raises(RuntimeError, match=r"\(n=9, root=2, " + message):
+            construction.witness_certificate(inst)
+
     def test_witness_pair_is_a_frozen_dataclass(self):
         # witnesses are built without running the dataclass __init__
         w = construction.witness_certificate(construction.build_starter(15, 3))[4]
@@ -253,6 +277,86 @@ class TestWitnesses:
         exp[2] = forged
         with pytest.raises(RuntimeError, match=r"n=9, root=2, k=1\): witness index i="):
             construction._witness(inst, 1, exp[1], exp)
+
+
+class TestCertificateMapping:
+    """witness_certificate returns a read-only Mapping[int, WitnessPair]."""
+
+    def test_length_iteration_and_membership(self):
+        inst = construction.build_starter(15, 3)
+        cert = construction.witness_certificate(inst)
+        assert len(cert) == inst.m == 7
+        assert list(cert) == list(cert.keys()) == list(range(1, 8))
+        assert all(k in cert for k in range(1, 8))
+        assert 0 not in cert and 8 not in cert and "1" not in cert and 1.5 not in cert
+        assert repr(dict(cert)) in repr(cert)  # shows its witnesses, as the dict it replaced did
+
+    @pytest.mark.parametrize("key", [True, 1.0, np.int64(1), np.float64(1.0)])
+    def test_any_key_equal_to_an_int_finds_its_witness(self, key):
+        cert = construction.witness_certificate(construction.build_starter(9, 2))
+        assert key in cert
+        assert cert[key] == cert[1]
+
+    # 2**61 hashes to 1, as any int congruent to 1 mod 2**61 - 1 does
+    @pytest.mark.parametrize("key", [0, 5, "1", 1.5, -1, None, 2**61])
+    def test_other_keys_raise_key_error(self, key):
+        cert = construction.witness_certificate(construction.build_starter(9, 2))
+        with pytest.raises(KeyError):
+            cert[key]
+        assert key not in cert
+
+    def test_read_only(self):
+        cert = construction.witness_certificate(construction.build_starter(9, 2))
+        with pytest.raises(TypeError):
+            cert[1] = cert[2]
+        with pytest.raises(TypeError):
+            del cert[1]
+        with pytest.raises(AttributeError):
+            cert.extra = 1
+
+    def test_each_read_gives_an_equal_witness(self):
+        cert = construction.witness_certificate(construction.build_starter(23, 5))
+        for k in cert:
+            assert cert[k] == cert[k]
+            assert type(cert[k]) is construction.WitnessPair
+
+    def test_dict_form_equals_the_oracle_witnesses_for_every_sweep_pair(self):
+        checked = 0
+        for n, g in sweep_pairs():
+            cert = construction.witness_certificate(construction.build_starter(n, g))
+            want = {k: construction.WitnessPair(*fs) for k, fs in witness_oracle(n, g).items()}
+            got = dict(cert)
+            assert got == want and list(got) == list(want), (n, g)
+            assert cert == want and dict(cert.items()) == want
+            checked += 1
+        assert checked == 808
+
+    def test_memory_per_witness(self):
+        # with edge endpoints of its own, not the terrace's ints, a witness held about 833 B
+        inst = construction.build_starter(10_005)
+        tracemalloc.start()
+        try:
+            cert = construction.witness_certificate(inst)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cert) == inst.m
+        assert held / inst.m < 700
+
+
+class TestTrustedDirectedTerrace:
+    def test_build_starter_terrace_equals_the_checked_one(self, monkeypatch):
+        # build_starter's terrace skips the constructor's permutation check
+        built = []
+        project = pathcore.project_to_half
+        monkeypatch.setattr(pathcore, "project_to_half", lambda t: built.append(t) or project(t))
+        for n, g in sweep_pairs():
+            inst = construction.build_starter(n, g)
+            checked = pathcore.DirectedTerrace(tuple(inst.log_table[1:]))
+            t = built.pop()
+            assert t == checked and t.entries == checked.entries and t.sequencing == checked.sequencing
+            assert set(map(type, t.entries + t.sequencing)) == {int}
+            assert construction.log_sequence(n, g) == checked
 
 
 class TestFullPipelineSmallSweep:

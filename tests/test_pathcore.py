@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import power_table_logs, sweep_pairs, symmetric_directed_terrace_oracle
 
 from odckit import pathcore
 from odckit.pathcore import DirectedTerrace, VertexPath
@@ -153,6 +156,66 @@ class TestDirectedTerrace:
         t = DirectedTerrace((0, 1, 3, 2, 7, 4, 8, 6, 9, 5))
         assert set(t.sequencing) == set(range(1, 10))
         assert not pathcore.is_symmetric_directed_terrace(t)
+
+
+class TestSymmetricCheckAgainstOracle:
+    """is_symmetric_directed_terrace and the sequencing against the plain
+    definition in helpers.symmetric_directed_terrace_oracle."""
+
+    @staticmethod
+    def agree(arrangements) -> Counter:
+        # tallies the oracle's verdicts, so each test shows which sides it reached
+        seen = Counter()
+        for entries in arrangements:
+            t = DirectedTerrace(tuple(entries))
+            b, ok = symmetric_directed_terrace_oracle(t.entries)
+            assert t.sequencing == tuple(b), entries
+            assert pathcore.is_symmetric_directed_terrace(t) is ok, entries
+            seen[ok] += 1
+        return seen
+
+    def test_every_arrangement_of_order_6(self):
+        seen = self.agree(permutations(range(6)))
+        assert seen[True] and seen[True] + seen[False] == 720
+
+    @pytest.mark.parametrize("order", [10, 14])
+    def test_random_arrangements(self, order):
+        rng = random.Random(order)
+        assert self.agree(rng.sample(range(order), order) for _ in range(2000))[False] == 2000
+
+    def test_sweep_log_sequences_with_two_entries_swapped(self):
+        rng = random.Random(99)
+        logs = []
+        for n, g in sweep_pairs():
+            table = power_table_logs(g, 2 * n + 1)
+            logs.append(tuple(table[y] for y in range(1, 2 * n + 1)))
+        assert len(logs) == 808
+        assert self.agree(logs)[True] == 808
+        swapped = []
+        for entries in logs:
+            es = list(entries)
+            a, b = rng.sample(range(len(es)), 2)
+            es[a], es[b] = es[b], es[a]
+            swapped.append(es)
+        assert self.agree(swapped)[False]
+
+    def test_every_directed_terrace_of_order_10(self):
+        # all nine differences distinct, so only the centre and mirror tests decide
+        found = []
+
+        def extend(path, used):
+            if len(path) == 10:
+                found.append(tuple(path))
+                return
+            for v in range(10):
+                d = (v - path[-1]) % 10
+                if v not in path and d not in used:
+                    extend(path + [v], used | {d})
+
+        extend([0], set())
+        assert len(found) == 288
+        seen = self.agree(found)
+        assert seen[True] and seen[False]
 
 
 class TestProjection:
