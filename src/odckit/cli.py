@@ -10,6 +10,10 @@ Exit codes are a stable contract: 0 = success/verified, 1 = a verification
 failed, 2 = invalid or ineligible input.  Path data in text output uses the
 fixture format (comma-separated labels, '#' comments), so emitted paths can
 be fed straight back to `verify`.
+
+Each subcommand imports the package modules it uses when it runs, so
+building the parser loads none of them and `coverage` never loads the
+construction, search or cover machinery.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import construction, coverage, odc, pathcore, search
-from .construction import NotEligibleError
-from .pathcore import VertexPath
+if TYPE_CHECKING:
+    from .coverage import CoverageVerdict, FormTag
+    from .pathcore import VertexPath
 
 SCHEMA_VERSION = "1"
 
@@ -43,7 +47,7 @@ def _print_envelope(command: str, inputs: dict[str, Any], result: dict[str, Any]
     print(json.dumps(doc, indent=2))
 
 
-def _form_dict(tag: coverage.FormTag) -> dict[str, Any]:
+def _form_dict(tag: FormTag) -> dict[str, Any]:
     return {"kind": tag.kind, "witness": tag.witness}
 
 
@@ -51,6 +55,8 @@ def _form_dict(tag: coverage.FormTag) -> dict[str, Any]:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from . import construction, odc, pathcore
+
     # build_starter has already checked the terrace and starter properties;
     # a failure there raises RuntimeError, so only the cover is left to verify.
     inst = construction.build_starter(args.n, args.root)
@@ -103,6 +109,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _path_from_json(row: Any) -> VertexPath:
+    from .pathcore import VertexPath
+
     # VertexPath itself rejects bools, floats and strings, naming the value
     if not isinstance(row, list):
         raise ValueError(f"a path must be a list of integers, got {row!r}")
@@ -111,6 +119,8 @@ def _path_from_json(row: Any) -> VertexPath:
 
 def _paths_from_text(text: str, mode: str) -> list[VertexPath]:
     """Fixture lines, or a machine JSON document (sniffed by its first byte)."""
+    from .pathcore import parse_paths
+
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
         result = doc.get("result", {})
@@ -129,10 +139,12 @@ def _paths_from_text(text: str, mode: str) -> list[VertexPath]:
         if not isinstance(rows, list):
             raise ValueError(f"paths must be a list, got {rows!r}")
         return [_path_from_json(row) for row in rows]
-    return pathcore.parse_paths(text)
+    return parse_paths(text)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import odc, pathcore
+
     text = Path(args.file).read_text(encoding="utf-8")
     paths = _paths_from_text(text, args.mode)
     if not paths:
@@ -199,11 +211,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from . import pathcore, search
+
+    ceiling = search.DEFAULT_CEILING if args.ceiling is None else args.ceiling
     cfg = search.SearchConfig(
         n=args.n,
         canonicalize=not args.no_canonicalize,
         limit=args.limit,
-        ceiling=args.ceiling,
+        ceiling=ceiling,
     )
     # enumerate_starters runs the starter scan on every path and raises on a defect (exit 1)
     res = search.enumerate_starters(cfg)
@@ -218,7 +233,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "n": args.n,
         "canonicalize": not args.no_canonicalize,
         "limit": args.limit,
-        "ceiling": args.ceiling,
+        "ceiling": ceiling,
     }
     if args.format == "machine":
         _print_envelope("search", inputs, result, True)
@@ -237,7 +252,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- coverage
 
 
-def _verdict_dict(v: coverage.CoverageVerdict, families: tuple[str, ...] | None = None) -> dict[str, Any]:
+def _verdict_dict(v: CoverageVerdict, families: tuple[str, ...] | None = None) -> dict[str, Any]:
     cert = v.product_cert
     d: dict[str, Any] = {
         "n": v.n,
@@ -256,7 +271,7 @@ def _verdict_dict(v: coverage.CoverageVerdict, families: tuple[str, ...] | None 
     return d
 
 
-def _verdict_line(v: coverage.CoverageVerdict, families: tuple[str, ...] | None = None) -> str:
+def _verdict_line(v: CoverageVerdict, families: tuple[str, ...] | None = None) -> str:
     cert = v.product_cert
     if cert is None:
         product = "none"
@@ -274,6 +289,8 @@ def _verdict_line(v: coverage.CoverageVerdict, families: tuple[str, ...] | None 
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
+    from . import coverage, modnum
+
     if args.n is not None:
         verdicts = [(coverage.classify(args.n), None)]
         inputs: dict[str, Any] = {"n": args.n}
@@ -284,7 +301,12 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         if args.new_only:
             verdicts = [(nv.verdict, nv.families) for nv in coverage._new_values(lo, hi)]
         else:
-            verdicts = [(coverage.classify(n), None) for n in range(lo | 1, hi + 1, 2)]
+            orders = range(lo | 1, hi + 1, 2)
+            # classify would refuse the first order past 2**63 only after every
+            # order below it; an order below 3 is refused at once anyway
+            if orders and orders[0] >= 3 and orders[-1] >= 1 << 63:
+                modnum._check_order_fits(max(orders[0], (1 << 63) + 1), "n")
+            verdicts = [(coverage.classify(n), None) for n in orders]
         inputs = {"range": [lo, hi], "new_only": args.new_only}
 
     # Re-validate every certificate in-process before reporting.
@@ -334,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustively enumerate starters for small n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--limit", type=int, default=None, help="stop after this many starters")
-    p.add_argument("--ceiling", type=int, default=search.DEFAULT_CEILING,
+    # None stands for search.DEFAULT_CEILING, read in cmd_search so the parser imports nothing
+    p.add_argument("--ceiling", type=int, default=None,
                    help="largest order the search will accept")
     p.add_argument("--no-canonicalize", action="store_true",
                    help="list every starter with first vertex 0, not one per class")
@@ -364,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     try:
         return args.func(args)
-    except (NotEligibleError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # NotEligibleError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except RuntimeError as exc:

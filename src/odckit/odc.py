@@ -20,9 +20,9 @@ sorted key per (edge, row) occurrence, unique because a Hamiltonian path
 holds each edge at most once, from which shared-edge counts per path pair
 are tallied with bincount, and edge counts for a violation report.  The keys
 are int32 up to n = 1024 and int64 above, where they no longer fit.  It is a
-plain exhaustive count and its report is deterministic.  numpy is imported on
-first use here, so the package's construction, search and coverage routes
-never load it.
+plain exhaustive count and its report is deterministic.  Only OdcCollection,
+translates and verify_odc import numpy, and only when called: the starter
+scan, all that the construction and the search use here, runs without it.
 """
 
 from __future__ import annotations

@@ -139,11 +139,12 @@ def is_symmetric_directed_terrace(t: DirectedTerrace) -> bool:
     k = t.order
     n = k // 2
     b = t.sequencing
-    if set(b) != set(range(1, k)):
+    # distinct entries mod 2n put every b_i in [1, 2n - 1], so k - 1 distinct ones are all of them
+    if len(set(b)) != k - 1:
         return False
     if b[n - 1] != n:
         return False
-    # the set check put every b_i in [1, 2n - 1], so b_i == -b_{2n-i} mod 2n means they sum to 2n
+    # with every b_i in [1, 2n - 1], b_i == -b_{2n-i} mod 2n means they sum to 2n
     return list(map(add, b[: n - 1], reversed(b[n:]))) == [k] * (n - 1)
 
 

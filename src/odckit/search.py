@@ -43,7 +43,6 @@ from math import gcd
 from typing import Callable
 
 from . import modnum, odc
-from .construction import NotEligibleError, build_starter, eligibility_modulus
 from .pathcore import VertexPath
 
 DEFAULT_CEILING = 17
@@ -317,6 +316,8 @@ def compare_with_construction(n: int, *, ceiling: int = DEFAULT_CEILING) -> Cons
     made either way; search validity errors (even n, over the ceiling) still
     propagate.
     """
+    from .construction import NotEligibleError, build_starter, eligibility_modulus  # only this needs it
+
     result = enumerate_starters(SearchConfig(n=n, ceiling=ceiling))
     canon = {p.vertices for p in result.starters}
     try:

@@ -342,6 +342,14 @@ class TestCoverage:
         assert out == ""
         assert "9" in err and "3" in err
 
+    @pytest.mark.parametrize("lo, first", [(3, 2**63 + 1), (2**63 + 4, 2**63 + 5)])
+    def test_range_past_the_bound_is_refused_before_any_verdict(self, capsys, lo, first):
+        # 2**62 orders lie below the bound from lo = 3; none of them is classified
+        code, out, err = run(capsys, "coverage", "--range", str(lo), str(2**63 + 9))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n must be below 2**63 so that 2n+1 fits in 64 bits, got {first}\n"
+
     def test_new_only_needs_range(self, capsys):
         code, _, err = run(capsys, "coverage", "--n", "23", "--new-only")
         assert code == 2

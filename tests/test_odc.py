@@ -267,13 +267,32 @@ class TestVerifyAgainstOracle:
         assert elapsed < 3.0, f"verify_odc took {elapsed:.2f}s"
 
 
-def test_search_and_classify_leave_numpy_unloaded():
+def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(odc.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _loaded_after(statement: str) -> set[str]:
+    """Modules of the package, and numpy, that a fresh interpreter holds after statement."""
     script = (
         "import sys, odckit\n"
-        "odckit.classify(23)\n"
-        "odckit.enumerate_starters(odckit.SearchConfig(n=9))\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        f"{statement}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('odckit.') or m == 'numpy'))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(odc.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    return set(_fresh_interpreter("-c", script).stdout.split())
+
+
+def test_search_and_classify_leave_numpy_unloaded():
+    # each entry point loads only the modules its call uses
+    assert _loaded_after("pass") == set()
+    assert _loaded_after("odckit.classify(23)") == {"odckit.coverage", "odckit.modnum"}
+    searched = _loaded_after("odckit.enumerate_starters(odckit.SearchConfig(n=9))")
+    assert "odckit.search" in searched
+    assert not searched & {"odckit.construction", "odckit.coverage", "numpy"}, searched
+    # the CLI as users run it: -X importtime names every module imported
+    err = _fresh_interpreter("-X", "importtime", "-m", "odckit", "coverage", "--n", "23").stderr
+    imported = {ln.rsplit("|", 1)[1].strip() for ln in err.splitlines() if ln.startswith("import time:")}
+    assert "odckit.coverage" in imported
+    assert not imported & {"odckit.construction", "odckit.search", "odckit.odc", "odckit.pathcore"}, imported

@@ -1,9 +1,15 @@
-"""The package's public surface: README's library example and odckit.__all__."""
+"""The package's public surface: README's library example, odckit.__all__,
+and the names the package resolves on first access."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import odckit
 
@@ -82,3 +88,31 @@ def test_all_is_pinned_and_resolves():
     assert sorted(odckit.__all__) == PUBLIC_NAMES
     for name in odckit.__all__:
         assert getattr(odckit, name) is not None, name
+
+
+def test_submodules_resolve_after_a_bare_import():
+    # a fresh interpreter, where no other test has imported a submodule yet
+    script = (
+        "import odckit\n"
+        "assert odckit.search.SearchConfig is odckit.SearchConfig\n"
+        "for name in ('cli', 'construction', 'coverage', 'modnum', 'odc', 'pathcore', 'search'):\n"
+        "    assert getattr(odckit, name).__name__ == 'odckit.' + name, name\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(odckit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_binds_every_public_name():
+    ns: dict = {}
+    exec("from odckit import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_dir_lists_every_public_name():
+    assert set(odckit.__all__) <= set(dir(odckit))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        odckit.no_such_name
