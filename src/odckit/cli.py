@@ -7,9 +7,11 @@ certify an order).  Output is either human-oriented text or a single
 machine-readable JSON document; both carry the same numeric content.
 
 Exit codes are a stable contract: 0 = success/verified, 1 = a verification
-failed, 2 = invalid or ineligible input.  Path data in text output uses the
-fixture format (comma-separated labels, '#' comments), so emitted paths can
-be fed straight back to `verify`.
+failed, 2 = invalid or ineligible input.  `_finish` alone prints the JSON
+envelope or the text lines and maps `verified` to the exit code; `main` maps
+errors to 2 or 1.  Path data in text output uses the fixture format
+(comma-separated labels, '#' comments), so emitted paths can be fed straight
+back to `verify`.
 
 Each subcommand imports the package modules it uses when it runs, so
 building the parser loads none of them and `coverage` never loads the
@@ -26,6 +28,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .coverage import CoverageVerdict, FormTag
     from .pathcore import VertexPath
 
@@ -36,15 +40,18 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
-def _print_envelope(command: str, inputs: dict[str, Any], result: dict[str, Any], verified: bool) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "verified": verified,
-    }
-    print(json.dumps(doc, indent=2))
+def _finish(args: argparse.Namespace, inputs: dict[str, Any], result: Any, verified: bool,
+            lines: Iterable[str]) -> int:
+    """Print the machine envelope, or the text lines (read only here, so they may be a
+    generator); then the exit code: 0 when verified, 1 otherwise."""
+    if args.format == "machine":
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": inputs,
+               "result": result, "verified": verified}
+        print(json.dumps(doc, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return EXIT_OK if verified else EXIT_VERIFY_FAILED
 
 
 def _form_dict(tag: FormTag) -> dict[str, Any]:
@@ -81,28 +88,26 @@ def cmd_construct(args: argparse.Namespace) -> int:
         # json writes the edge tuples as arrays
         result["witnesses"] = [asdict(cert[k]) for k in sorted(cert)]
 
-    inputs = {"n": args.n, "root": args.root, "emit": args.emit}
-    if args.format == "machine":
-        _print_envelope("construct", inputs, result, verified)
-    else:
-        print(f"# construct n={inst.n} root={inst.root} modulus={inst.modulus} "
-              f"verified={'true' if verified else 'false'}")
-        print(f"# lengths {','.join(map(str, lengths))}")
-        print("# distances " + " ".join(f"{ell}->{k}" for ell, k in enumerate(inst.profile, 1)))
+    def lines():
+        yield (f"# construct n={inst.n} root={inst.root} modulus={inst.modulus} "
+               f"verified={'true' if verified else 'false'}")
+        yield f"# lengths {','.join(map(str, lengths))}"
+        yield "# distances " + " ".join(f"{ell}->{k}" for ell, k in enumerate(inst.profile, 1))
         if args.emit in ("starter", "all"):
-            print(pathcore.format_path(inst.terrace.vertices))
+            yield pathcore.format_path(inst.terrace.vertices)
         if rows is not None:
-            print(f"# odc {inst.n} rows")
-            for row in rows:
-                print(pathcore.format_path(row))
+            yield f"# odc {inst.n} rows"
+            yield from map(pathcore.format_path, rows)
         if cert is not None:
-            print("# witnesses")
+            yield "# witnesses"
             for k in sorted(cert):
                 w = cert[k]
-                print(f"# k={w.k} x={w.x} u={w.u} i={w.i} j={w.j} "
-                      f"edge_i={w.edge_i[0]},{w.edge_i[1]} edge_j={w.edge_j[0]},{w.edge_j[1]} "
-                      f"length={w.length} pos_i={w.edge_index_i} pos_j={w.edge_index_j}")
-    return EXIT_OK if verified else EXIT_VERIFY_FAILED
+                yield (f"# k={w.k} x={w.x} u={w.u} i={w.i} j={w.j} "
+                       f"edge_i={w.edge_i[0]},{w.edge_i[1]} edge_j={w.edge_j[0]},{w.edge_j[1]} "
+                       f"length={w.length} pos_i={w.edge_index_i} pos_j={w.edge_index_j}")
+
+    inputs = {"n": args.n, "root": args.root, "emit": args.emit}
+    return _finish(args, inputs, result, verified, lines())
 
 
 # ------------------------------------------------------------------- verify
@@ -121,35 +126,34 @@ def _paths_from_text(text: str, mode: str) -> list[VertexPath]:
     """Fixture lines, or a machine JSON document (sniffed by its first byte)."""
     from .pathcore import parse_paths
 
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        result = doc.get("result", {})
-        if not isinstance(result, dict):
-            raise ValueError(f"'result' must be an object, got {result!r}")
-        if mode == "odc" and "odc" in result:
-            rows = result["odc"]
-        elif "starter" in result:
-            rows = [result["starter"]]
-        elif "odc" in result:
-            rows = result["odc"]
-        elif "starters" in result:
-            rows = result["starters"]
-        else:
-            raise ValueError("machine document carries no paths")
-        if not isinstance(rows, list):
-            raise ValueError(f"paths must be a list, got {rows!r}")
-        return [_path_from_json(row) for row in rows]
-    return parse_paths(text)
+    if not text.lstrip().startswith("{"):
+        return parse_paths(text)
+    result = json.loads(text).get("result", {})
+    if not isinstance(result, dict):
+        raise ValueError(f"'result' must be an object, got {result!r}")
+    # the first key present wins: a cover is checked as a cover, and each other mode prefers the starter
+    keys = ("odc", "starter", "starters") if mode == "odc" else ("starter", "odc", "starters")
+    key = next((k for k in keys if k in result), None)
+    if key is None:
+        raise ValueError("machine document carries no paths")
+    rows = [result[key]] if key == "starter" else result[key]
+    if not isinstance(rows, list):
+        raise ValueError(f"paths must be a list, got {rows!r}")
+    return [_path_from_json(row) for row in rows]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import odc, pathcore
 
     text = Path(args.file).read_text(encoding="utf-8")
-    paths = _paths_from_text(text, args.mode)
+    try:
+        paths = _paths_from_text(text, args.mode)
+    except RecursionError:  # a RuntimeError, raised by json.loads on deep nesting
+        raise ValueError(f"{args.file} is nested too deeply to read") from None
     if not paths:
         raise ValueError(f"no paths in {args.file}")
     inputs = {"file": args.file, "mode": args.mode}
+    head = f"# verify file={args.file} mode={args.mode} paths={len(paths)}"
 
     if args.mode == "odc":
         collection = odc.OdcCollection(paths)  # wrong size/mixed orders -> bad input
@@ -164,16 +168,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 for v in report.violations
             ],
         }
-        ok = report.ok
-        if args.format == "machine":
-            _print_envelope("verify", inputs, result, ok)
-        else:
-            print(f"# verify file={args.file} mode=odc paths={len(paths)}")
-            print(f"double_cover: {'ok' if report.double_cover_ok else 'FAIL'}")
-            print(f"orthogonality: {'ok' if report.orthogonality_ok else 'FAIL'}")
+
+        def cover_lines():
+            yield head
+            yield f"double_cover: {'ok' if report.double_cover_ok else 'FAIL'}"
+            yield f"orthogonality: {'ok' if report.orthogonality_ok else 'FAIL'}"
             for v in report.violations:
-                print(f"violation: {v.kind} {v.subject[0]},{v.subject[1]} count={v.count}")
-        return EXIT_OK if ok else EXIT_VERIFY_FAILED
+                yield f"violation: {v.kind} {v.subject[0]},{v.subject[1]} count={v.count}"
+
+        return _finish(args, inputs, result, report.ok, cover_lines())
 
     rows = []
     ok_all = True
@@ -191,20 +194,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 row["distances"] = [[ell, k] for ell, k in enumerate(profile, 1)]
             rows.append(row)
         ok_all &= ok
-    result = {"mode": args.mode, "paths": rows}
-    if args.format == "machine":
-        _print_envelope("verify", inputs, result, ok_all)
-    else:
-        print(f"# verify file={args.file} mode={args.mode} paths={len(paths)}")
+
+    def path_lines():
+        yield head
         for row in rows:
             if row["ok"]:
-                print(f"path {row['index']}: ok")
+                yield f"path {row['index']}: ok"
             elif args.mode == "terrace":
                 detail = " ".join(f"length {ell} count={c}" for ell, c in row["bad_length_counts"])
-                print(f"path {row['index']}: FAIL not a terrace: {detail}")
+                yield f"path {row['index']}: FAIL not a terrace: {detail}"
             else:
-                print(f"path {row['index']}: FAIL not a starter")
-    return EXIT_OK if ok_all else EXIT_VERIFY_FAILED
+                yield f"path {row['index']}: FAIL not a starter"
+
+    return _finish(args, inputs, {"mode": args.mode, "paths": rows}, ok_all, path_lines())
 
 
 # ------------------------------------------------------------------- search
@@ -229,24 +231,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         "wall_time_s": res.wall_time,
         "starters": [list(p.vertices) for p in res.starters],
     }
-    inputs = {
-        "n": args.n,
-        "canonicalize": not args.no_canonicalize,
-        "limit": args.limit,
-        "ceiling": ceiling,
-    }
-    if args.format == "machine":
-        _print_envelope("search", inputs, result, True)
-    else:
-        for p in res.starters:
-            print(pathcore.format_path(p.vertices))
-    print(
-        f"# search n={args.n} found={len(res.starters)} "
-        f"nodes={res.nodes_explored} time={res.wall_time:.3f}s",
-        file=sys.stderr,
-    )
+    inputs = {"n": args.n, "canonicalize": not args.no_canonicalize, "limit": args.limit, "ceiling": ceiling}
     # An empty enumeration is a valid answer, not a failure.
-    return EXIT_OK
+    code = _finish(args, inputs, result, True, (pathcore.format_path(p.vertices) for p in res.starters))
+    print(f"# search n={args.n} found={len(res.starters)} nodes={res.nodes_explored} time={res.wall_time:.3f}s",
+          file=sys.stderr)
+    return code
 
 
 # ----------------------------------------------------------------- coverage
@@ -292,6 +282,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     from . import coverage, modnum
 
     if args.n is not None:
+        if args.new_only:
+            raise ValueError("--new-only needs --range")
         verdicts = [(coverage.classify(args.n), None)]
         inputs: dict[str, Any] = {"n": args.n}
     else:
@@ -309,25 +301,17 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             verdicts = [(coverage.classify(n), None) for n in orders]
         inputs = {"range": [lo, hi], "new_only": args.new_only}
 
-    # Re-validate every certificate in-process before reporting.
-    verified = True
-    for v, _ in verdicts:
-        if v.product_cert is not None:
-            cert = v.product_cert
-            ok = (
-                cert.product == v.n
-                and coverage.qualifies_base(cert.base) is not None
-                and all(coverage.qualifies_prime_power(q) is not None for q, _ in cert.factors)
-            )
-            verified &= ok
-
-    if args.format == "machine":
-        result = {"verdicts": [_verdict_dict(v, fams) for v, fams in verdicts]}
-        _print_envelope("coverage", inputs, result, verified)
-    else:
-        for v, fams in verdicts:
-            print(_verdict_line(v, fams))
-    return EXIT_OK if verified else EXIT_VERIFY_FAILED
+    # Re-derive every certificate's tags in-process before reporting.
+    verified = all(
+        cert.product == v.n
+        and coverage.qualifies_base(cert.base) == cert.base_tag
+        and all(coverage.qualifies_prime_power(q) == tag for q, tag in cert.factors)
+        for v, _ in verdicts
+        if (cert := v.product_cert) is not None
+    )
+    # only the envelope needs the verdict dicts
+    result = {"verdicts": [_verdict_dict(v, fams) for v, fams in verdicts]} if args.format == "machine" else None
+    return _finish(args, inputs, result, verified, (_verdict_line(v, fams) for v, fams in verdicts))
 
 
 # ------------------------------------------------------------------ parsing
@@ -382,9 +366,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own errors on stderr
         return EXIT_BAD_INPUT if exc.code else EXIT_OK
-    if getattr(args, "new_only", False) and args.n is not None:
-        print("error: --new-only needs --range", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # NotEligibleError and JSONDecodeError among them

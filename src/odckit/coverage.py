@@ -129,19 +129,22 @@ def _exponent_partition(p: int, e: int) -> tuple[tuple[int, FormTag], ...] | Non
     p**t a qualifying prime power, as (p**t, tag) pairs; None when no such
     partition exists."""
     usable = [(t, tag) for t in range(1, e + 1) if (tag := _prime_power_tag(p, t)) is not None]
+    return _partition(p, usable, e, 1)
 
-    def rec(remaining: int, floor: int) -> tuple[tuple[int, FormTag], ...] | None:
-        if remaining == 0:
-            return ()
-        for t, tag in usable:
-            if t < floor or t > remaining:
-                continue
-            rest = rec(remaining - t, t)
-            if rest is not None:
-                return ((p**t, tag), *rest)
-        return None
 
-    return rec(e, 1)
+def _partition(p: int, usable: list[tuple[int, FormTag]], remaining: int,
+               floor: int) -> tuple[tuple[int, FormTag], ...] | None:
+    """_exponent_partition's search over exponents t >= floor, smallest first.  Not a
+    closure: a nested recursive function reaches itself through its cell, a cycle."""
+    if remaining == 0:
+        return ()
+    for t, tag in usable:
+        if t < floor or t > remaining:
+            continue
+        rest = _partition(p, usable, remaining - t, t)
+        if rest is not None:
+            return ((p**t, tag), *rest)
+    return None
 
 
 def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCertificate | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 
 _WORD_LIMIT = 1 << 64
 
@@ -135,8 +136,11 @@ def factorize(v: int) -> list[tuple[int, int]]:
     return sorted(counts.items())
 
 
-def _distinct_prime_factors(v: int) -> list[int]:
-    return [p for p, _ in factorize(v)]
+def _generator_test(p: int) -> Callable[[int], bool]:
+    """For the prime p: whether g generates the units mod p, i.e. no g**((p-1)/q) is 1
+    for a prime q dividing p-1.  p-1 is factorized once, however many g are tested."""
+    exponents = [(p - 1) // q for q, _ in factorize(p - 1)]
+    return lambda g: all(pow(g, e, p) != 1 for e in exponents)
 
 
 def is_primitive_root(g: int, p: int) -> bool:
@@ -146,15 +150,12 @@ def is_primitive_root(g: int, p: int) -> bool:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     g %= p
-    if g == 0:
-        return False
-    if p == 2:
-        return g == 1
-    return all(pow(g, (p - 1) // q, p) != 1 for q in _distinct_prime_factors(p - 1))
+    return g != 0 and _generator_test(p)(g)
 
 
 def find_primitive_root(p: int) -> int:
     """The smallest primitive root g >= 2 of the prime p >= 3."""
+    p = _strict_int(p, "p")
     if p < 3 or not is_prime(p):
         raise ValueError(f"need an odd prime >= 3, got {p}")
     return _find_primitive_root(p)
@@ -162,11 +163,7 @@ def find_primitive_root(p: int) -> int:
 
 def _find_primitive_root(p: int) -> int:
     """find_primitive_root for an odd modulus the caller has already found prime."""
-    qs = _distinct_prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-    raise AssertionError(f"no primitive root found for prime {p}")
+    return next(filter(_generator_test(p), range(2, p)))
 
 
 def primitive_roots(p: int) -> list[int]:
@@ -174,6 +171,7 @@ def primitive_roots(p: int) -> list[int]:
 
     These are the powers g**e of any fixed root g with gcd(e, p-1) = 1.
     """
+    p = _strict_int(p, "p")
     g = find_primitive_root(p)
     order = p - 1
     return sorted(pow(g, e, p) for e in range(1, order) if math.gcd(e, order) == 1)

@@ -219,6 +219,16 @@ class TestVerify:
         assert out == ""
         assert named in err
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_deeply_nested_document_is_bad_input(self, capsys, tmp_path, fmt):
+        # json.loads raises RecursionError, a RuntimeError, which must not read as a verification defect
+        f = tmp_path / "deep.json"
+        f.write_text('{"result": {"starter": ' + "[" * 3000 + "]" * 3000 + "}}")
+        code, out, err = run(capsys, "verify", str(f), "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {f} is nested too deeply to read\n"
+
 
 class TestRoundTrip:
     def test_text_starter_round_trips(self, capsys, tmp_path):
@@ -382,6 +392,21 @@ class TestCoverage:
         assert code == 0 and doc["verified"] is True
         assert len(doc["result"]["verdicts"]) == count
         assert hashlib.sha256(json.dumps(doc["result"], sort_keys=True).encode()).hexdigest() == digest
+
+    def test_mislabelled_certificate_fails_the_recheck(self, capsys, monkeypatch):
+        # 3 * 5 = 15 and both pieces qualify, but 5 qualifies as a small prime, not as 2**2
+        from odckit import coverage
+
+        cert = coverage.ProductCertificate(
+            3, coverage.FormTag(coverage.SPORADIC, 3), ((5, coverage.FormTag(coverage.SQUARE, 2)),)
+        )
+        monkeypatch.setattr(coverage, "classify", lambda n: coverage.CoverageVerdict(n, cert, True))
+        code, out, _ = run(capsys, "coverage", "--n", "15")
+        assert code == 1
+        assert out == "n=15 new=no complement_prime=yes product=3[sporadic:3]*5[square:2]\n"
+        code, doc, _ = machine_doc(capsys, "coverage", "--n", "15")
+        assert code == 1
+        assert doc["verified"] is False
 
 
 class TestParsing:

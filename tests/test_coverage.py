@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from helpers import oracle_is_prime, oracle_product_covered, sieve_primes
@@ -217,6 +219,20 @@ class TestFactorizeOnce:
         ]
         assert calls["is_prime"] == [2 * n + 1 for n in range(1000141, 1000152, 2)]
         assert calls["factorize"] == [1000145, 1000151]
+
+
+class TestNoReferenceCycles:
+    def test_classification_leaves_no_garbage(self):
+        # every object of a verdict, its exponent partitions included, is freed by reference counting alone
+        gc.collect()
+        gc.disable()
+        try:
+            for n in range(3, 2001, 2):
+                classify(n)
+            enumerate_new_values(2000)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOracleAgreement:

@@ -191,6 +191,8 @@ class TestStrictIntegers:
             (lambda: modnum.is_primitive_root(2.0, 19), "g must be an integer, got 2.0"),
             (lambda: modnum.discrete_log_table(2, 19.0), "p must be an integer, got 19.0"),
             (lambda: modnum.discrete_log_table(True, 19), "g must be an integer, got True"),
+            (lambda: modnum.find_primitive_root(7.0), "p must be an integer, got 7.0"),
+            (lambda: modnum.primitive_roots("7"), "p must be an integer, got '7'"),
             # an equal numpy integer is accepted first, and 5.0 must still be rejected
             (
                 lambda: (coverage.qualifies_prime_power(np.int64(5)), coverage.qualifies_prime_power(5.0)),
@@ -207,6 +209,8 @@ class TestStrictIntegers:
             "is_primitive_root-g",
             "discrete_log_table-p",
             "discrete_log_table-g",
+            "find_primitive_root-float",
+            "primitive_roots-str",
             "qualifies_prime_power-after-numpy-int",
             "qualifies_base-bool",
             "qualifies_base-str",
@@ -221,5 +225,7 @@ class TestStrictIntegers:
         assert modnum.factorize(np.int32(12)) == [(2, 2), (3, 1)]
         assert modnum.is_primitive_root(np.int64(2), np.int64(19))
         assert modnum.discrete_log_table(np.int64(2), np.int16(19)) == modnum.discrete_log_table(2, 19)
+        assert modnum.find_primitive_root(np.int64(19)) == 2
+        assert modnum.primitive_roots(np.int32(19)) == modnum.primitive_roots(19)
         assert coverage.qualifies_prime_power(np.int64(5)) == coverage.qualifies_prime_power(5)
         assert coverage.qualifies_base(np.int64(9)) == coverage.qualifies_base(9)
