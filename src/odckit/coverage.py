@@ -3,11 +3,13 @@
 Two decision procedures are implemented.  The *product criterion* certifies
 n = base * q_1 * ... * q_r where the base is a previously-known order (one of
 three quadratic forms or a sporadic list) and every q_i is a qualifying prime
-power congruent to 1 mod 4.  The *prime-complement criterion* holds whenever
-2n+1 is prime, in which case the discrete-log construction in this package
-produces a cover directly.  An order is *new* when only the second criterion
-applies: the discrete-log route certifies it and the product criterion does
-not.
+power congruent to 1 mod 4.  Each prime p of the cofactor splits by rule: into
+copies of p when p qualifies, else into copies of p**2, else not at all, since
+no p**t with odd t >= 3 qualifies (theorems of Lebesgue and Størmer).  The
+*prime-complement criterion* holds whenever 2n+1 is prime, in which case the
+discrete-log construction in this package produces a cover directly.  An
+order is *new* when only the second criterion applies: the discrete-log
+route certifies it and the product criterion does not.
 
 Each order is factorized once: its divisors, and the factorization of
 every cofactor, come from that one list, and nothing is cached between
@@ -18,7 +20,7 @@ covered by these criteria.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from . import modnum
 
@@ -118,33 +120,23 @@ class ProductCertificate:
 
     @property
     def product(self) -> int:
-        out = self.base
-        for q, _ in self.factors:
-            out *= q
-        return out
+        return self.base * prod(q for q, _ in self.factors)
 
 
 def _exponent_partition(p: int, e: int) -> tuple[tuple[int, FormTag], ...] | None:
-    """Smallest non-decreasing tuple of exponents t summing to e with every
-    p**t a qualifying prime power, as (p**t, tag) pairs; None when no such
-    partition exists."""
-    usable = [(t, tag) for t in range(1, e + 1) if (tag := _prime_power_tag(p, t)) is not None]
-    return _partition(p, usable, e, 1)
+    """p**e, for an odd prime p, as qualifying prime powers in (p**t, tag) pairs:
+    e copies of p when p qualifies, else e/2 copies of p**2 when e is even, else None.
 
-
-def _partition(p: int, usable: list[tuple[int, FormTag]], remaining: int,
-               floor: int) -> tuple[tuple[int, FormTag], ...] | None:
-    """_exponent_partition's search over exponents t >= floor, smallest first.  Not a
-    closure: a nested recursive function reaches itself through its cell, a cycle."""
-    if remaining == 0:
-        return ()
-    for t, tag in usable:
-        if t < floor or t > remaining:
-            continue
-        rest = _partition(p, usable, remaining - t, t)
-        if rest is not None:
-            return ((p**t, tag), *rest)
-    return None
+    p**2 always qualifies, being a square and 1 mod 4.  Even powers are products of
+    p**2, and no p**t with odd t >= 3 qualifies: it is no square, p**t = k**2 + 1
+    has no solution (V.-A. Lebesgue, 1850), nor has p**t = (k**2 + 1)/2 (C. Størmer, 1899).
+    """
+    tag = _prime_power_tag(p, 1)
+    if tag is not None:
+        return ((p, tag),) * e
+    if e % 2:
+        return None
+    return ((p * p, _prime_power_tag(p, 2)),) * (e // 2)
 
 
 def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCertificate | None:
@@ -152,10 +144,9 @@ def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCerti
 
     The trivial decomposition (base n, no factors) is preferred when the
     whole of n qualifies as a base; otherwise proper bases are tried in
-    ascending order, splitting each cofactor prime by prime with the
-    smallest qualifying exponent partition.  A base's cofactor keeps the
-    exponents n has beyond the base's, so nothing is factorized again.
-    Deterministic throughout.
+    ascending order, splitting each cofactor prime by prime by the rule of
+    _exponent_partition.  A base's cofactor keeps the exponents n has beyond
+    the base's, so nothing is factorized again.  Deterministic throughout.
     """
     tag = _base_tag(n)
     if tag is not None:
@@ -238,17 +229,18 @@ def enumerate_new_values(hi: int) -> list[NewValue]:
 
 
 def _new_values(lo: int, hi: int) -> list[NewValue]:
-    """enumerate_new_values restricted to odd n in [max(lo, 3), hi], for lo <= hi.
-
-    The work grows with the width of the range, not with hi.
-    """
+    """enumerate_new_values over the odd n in [lo, hi], for lo <= hi; like classify, it refuses
+    an odd n < 3 there.  The work grows with the width of the range, not with hi."""
     hi = modnum._strict_int(hi, "hi")
+    start = lo | 1  # the first odd n in the range
+    if start < 3 and start <= hi:
+        raise ValueError(f"need an odd n >= 3, got {start}")
     if hi < 3:
         raise ValueError(f"need hi >= 3, got {hi}")
+    modnum._check_order_fits(hi, "hi")
     out = []
-    for n in enumerate_eligible(max(lo, 3), hi):  # rejects hi >= 2**63 before any work
-        factors = modnum.factorize(n)
-        if _product_certificate(n, factors) is not None:
+    for n in range(start, hi + 1, 2):
+        if not modnum.is_prime(2 * n + 1) or _product_certificate(n, factors := modnum.factorize(n)):
             continue
         families = []
         if n % 4 == 3:

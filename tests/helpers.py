@@ -297,3 +297,25 @@ def oracle_product_covered(n: int) -> bool:
         if oracle_cofactor_ok(n // a):
             return True
     return False
+
+
+def reference_exponent_partition(p: int, e: int, tag) -> tuple | None:
+    """Smallest non-decreasing tuple of exponents t summing to e with every
+    p**t qualifying, as (p**t, tag(p, t)) pairs; None when there is none.
+
+    A backtracking search over every exponent split, the reference for
+    coverage's closed-form rule.  tag(p, t) returns the qualifying tag of
+    p**t, or None; it is passed in so that the search assumes no theorem
+    about which powers qualify.
+    """
+    usable = [(t, tg) for t in range(1, e + 1) if (tg := tag(p, t)) is not None]
+
+    def search(remaining: int, floor: int) -> tuple | None:
+        if remaining == 0:
+            return ()
+        for t, tg in usable:
+            if floor <= t <= remaining and (rest := search(remaining - t, t)) is not None:
+                return ((p**t, tg), *rest)
+        return None
+
+    return search(e, 1)

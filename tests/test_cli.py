@@ -364,6 +364,20 @@ class TestCoverage:
         code, _, err = run(capsys, "coverage", "--n", "23", "--new-only")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--new-only"]])
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("lo, hi, first", [(1, 15, 1), (-5, 9, -5), (1, 1, 1), (-4, 0, -3)])
+    def test_range_with_an_order_below_3_is_refused(self, capsys, extra, fmt, lo, hi, first):
+        # the first odd order of the range is refused, not skipped, with or without --new-only
+        code, out, err = run(capsys, "coverage", "--range", str(lo), str(hi), "--format", fmt, *extra)
+        assert (code, out, err) == (2, "", f"error: need an odd n >= 3, got {first}\n")
+
+    def test_new_only_range_from_2_starts_at_3(self, capsys):
+        # 2 is no order, so nothing is skipped; the reply is that of --range 3 30
+        assert run(capsys, "coverage", "--range", "2", "30", "--new-only") == run(
+            capsys, "coverage", "--range", "3", "30", "--new-only"
+        )
+
     def test_machine_matches_text(self, capsys):
         _, out, _ = run(capsys, "coverage", "--n", "9")
         _, doc, _ = machine_doc(capsys, "coverage", "--n", "9")

@@ -278,6 +278,29 @@ class TestWitnesses:
         with pytest.raises(RuntimeError, match=r"n=9, root=2, k=1\): witness index i="):
             construction._witness(inst, 1, exp[1], exp)
 
+    @pytest.mark.parametrize(("k", "slot", "forged", "j"), [(1, 2, 14, 9), (2, 4, 14, 18)])
+    def test_j_index_without_a_terrace_position_is_a_defect(self, k, slot, forged, j):
+        # i is read from exp[slot] (exp[2] at k = 1, exp[4] at k = 2); i = 14 has
+        # a terrace position, but j = x * i is n or 2n.  The check runs before
+        # the terrace is read at position n, which is out of range at j = n.
+        inst = construction.build_starter(9, 2)
+        exp = construction._antilog(inst)
+        exp[slot] = forged
+        with pytest.raises(RuntimeError, match=rf"n=9, root=2, k={k}\): witness index j={j} "):
+            construction._witness(inst, k, exp[k], exp)
+
+    @pytest.mark.parametrize(("forged", "edge_i", "edge_j"), [(8, (3, 8), (1, 4)), (5, (5, 7), (3, 8))])
+    def test_one_edge_of_the_wrong_length_is_a_defect(self, forged, edge_i, edge_j):
+        # at k = 1, u = 6 gives length 4 and i is read from exp[2]; forged, i names
+        # a terrace edge of length 4 and j = 2 * i one of another length (i = 8),
+        # or the other way round (i = 5).  The true x alone cannot do this.
+        inst = construction.build_starter(9, 2)
+        exp = construction._antilog(inst)
+        exp[2] = forged
+        msg = f"n=9, root=2, k=1): edges {edge_i}, {edge_j} do not share length 4"
+        with pytest.raises(RuntimeError, match=f"^internal defect \\({re.escape(msg)}$"):
+            construction._witness(inst, 1, exp[1], exp)
+
 
 class TestCertificateMapping:
     """witness_certificate returns a read-only Mapping[int, WitnessPair]."""

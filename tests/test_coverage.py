@@ -4,9 +4,9 @@ import gc
 
 import numpy as np
 import pytest
-from helpers import oracle_is_prime, oracle_product_covered, sieve_primes
+from helpers import oracle_is_prime, oracle_product_covered, reference_exponent_partition, sieve_primes
 
-from odckit import cli, modnum
+from odckit import cli, coverage, modnum
 from odckit.coverage import (
     FAMILY_EVEN_3MOD4_PRODUCT,
     FAMILY_P7MOD8,
@@ -233,6 +233,22 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestExponentRule:
+    def test_rule_matches_the_backtracking_search(self):
+        # every odd prime p < 10**5 and every e >= 0 with p**e < 2**64; p = 2
+        # never divides an odd order, and its square is not 1 mod 4
+        cases = 0
+        for p in sieve_primes(10**5 - 1)[1:]:
+            e = 0
+            while p**e < 2**64:
+                got = coverage._exponent_partition(p, e)
+                if got != reference_exponent_partition(p, e, coverage._prime_power_tag):
+                    pytest.fail(f"p={p}, e={e}: rule gives {got}")
+                e += 1
+                cases += 1
+        assert cases == 46_382
 
 
 class TestOracleAgreement:
