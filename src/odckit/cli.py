@@ -279,7 +279,7 @@ def _verdict_line(v: CoverageVerdict, families: tuple[str, ...] | None = None) -
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    from . import coverage, modnum
+    from . import coverage
 
     if args.n is not None:
         if args.new_only:
@@ -293,12 +293,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         if args.new_only:
             verdicts = [(nv.verdict, nv.families) for nv in coverage._new_values(lo, hi)]
         else:
-            orders = range(lo | 1, hi + 1, 2)
-            # classify would refuse the first order past 2**63 only after every
-            # order below it; an order below 3 is refused at once anyway
-            if orders and orders[0] >= 3 and orders[-1] >= 1 << 63:
-                modnum._check_order_fits(max(orders[0], (1 << 63) + 1), "n")
-            verdicts = [(coverage.classify(n), None) for n in orders]
+            verdicts = [(v, None) for v in coverage._verdicts(lo, hi)]
         inputs = {"range": [lo, hi], "new_only": args.new_only}
 
     # Re-derive every certificate's tags in-process before reporting.

@@ -13,8 +13,11 @@ route certifies it and the product criterion does not.
 
 Each order is factorized once: its divisors, and the factorization of
 every cofactor, come from that one list, and nothing is cached between
-calls.  Verdicts never assert non-existence; "not covered" means not
-covered by these criteria.
+calls.  A single order (classify) takes its factorization from
+modnum.factorize and its 2n+1 from modnum.is_prime; a range of orders
+(enumerate_eligible, enumerate_new_values, the CLI's --range) takes both from
+one segmented sieve over the range, modnum._sieve_orders.  Verdicts never
+assert non-existence; "not covered" means not covered by these criteria.
 """
 
 from __future__ import annotations
@@ -201,8 +204,7 @@ def enumerate_eligible(lo: int, hi: int) -> list[int]:
     if not 3 <= lo <= hi:
         raise ValueError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
     modnum._check_order_fits(hi, "hi")
-    start = lo if lo % 2 else lo + 1
-    return [n for n in range(start, hi + 1, 2) if modnum.is_prime(2 * n + 1)]
+    return [n for n, _, _ in modnum._sieve_orders(lo, hi, False, False)]
 
 
 # Descriptive families of new values, derived from n's own arithmetic.
@@ -225,22 +227,28 @@ def enumerate_new_values(hi: int) -> list[NewValue]:
     (mod 4) and a product of an even number of distinct primes, all ≡ 3
     (mod 4).  A value may belong to several families, or to none.
     """
+    hi = modnum._strict_int(hi, "hi")
+    if hi < 3:
+        raise ValueError(f"need hi >= 3, got {hi}")
     return _new_values(3, hi)
 
 
-def _new_values(lo: int, hi: int) -> list[NewValue]:
-    """enumerate_new_values over the odd n in [lo, hi], for lo <= hi; like classify, it refuses
-    an odd n < 3 there.  The work grows with the width of the range, not with hi."""
-    hi = modnum._strict_int(hi, "hi")
-    start = lo | 1  # the first odd n in the range
+def _first_order(lo: int, hi: int) -> int:
+    """The first odd n >= lo; like classify, refuse it when it lies in [lo, hi] below 3."""
+    start = lo | 1
     if start < 3 and start <= hi:
         raise ValueError(f"need an odd n >= 3, got {start}")
-    if hi < 3:
-        raise ValueError(f"need hi >= 3, got {hi}")
+    return start
+
+
+def _new_values(lo: int, hi: int) -> list[NewValue]:
+    """enumerate_new_values over the odd n in [lo, hi], read from the range sieve;
+    empty when the range holds no odd n."""
+    start = _first_order(lo, hi)
     modnum._check_order_fits(hi, "hi")
     out = []
-    for n in range(start, hi + 1, 2):
-        if not modnum.is_prime(2 * n + 1) or _product_certificate(n, factors := modnum.factorize(n)):
+    for n, _, factors in modnum._sieve_orders(start, hi, False, True):
+        if _product_certificate(n, factors):
             continue
         families = []
         if n % 4 == 3:
@@ -251,3 +259,13 @@ def _new_values(lo: int, hi: int) -> list[NewValue]:
             families.append(FAMILY_EVEN_3MOD4_PRODUCT)
         out.append(NewValue(CoverageVerdict(n, None, True), tuple(families)))
     return out
+
+
+def _verdicts(lo: int, hi: int) -> list[CoverageVerdict]:
+    """classify for each odd n in [lo, hi], read from the range sieve.  Like classify, it
+    refuses an order below 3, or the first one past 2**63, before any verdict."""
+    start = _first_order(lo, hi)
+    if start <= hi and hi > 1 << 63:
+        modnum._check_order_fits(max(start, (1 << 63) + 1), "n")
+    return [CoverageVerdict(n, _product_certificate(n, factors), prime)
+            for n, prime, factors in modnum._sieve_orders(start, hi, True, True)]

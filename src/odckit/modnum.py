@@ -4,15 +4,19 @@ Primality, factorization, primitive roots and discrete-log tables, sized
 for moduli that fit in 64 bits.  Everything is deterministic:
 primality uses a fixed strong-probable-prime witness set that is exact for the
 whole 64-bit range, and factorization falls back from trial division to a
-Brent-cycle splitter with a fixed parameter sweep.  All functions are pure and
-safe to call concurrently.
+Brent-cycle splitter with a fixed parameter sweep.  Those decide one value at a
+time.  A range of orders n instead goes through one segmented sieve
+(_sieve_orders), which reads the primality of 2n+1 and the factors of n off the
+small primes' multiples, a segment of orders at a time.  All functions are
+pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from itertools import compress
 
 _WORD_LIMIT = 1 << 64
 
@@ -21,6 +25,13 @@ _WORD_LIMIT = 1 << 64
 _SPRP_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10**6
+
+# The range sieve's largest prime: where factorize's trial division stops, so
+# that a cofactor the sieve leaves goes straight to the Brent splitter.
+_SIEVE_CAP = _TRIAL_LIMIT
+
+# Odd orders per segment of the range sieve.
+_SEGMENT = 1 << 12
 
 
 def _strict_int(v: int, what: str) -> int:
@@ -123,8 +134,14 @@ def factorize(v: int) -> list[tuple[int, int]]:
                 counts[cand] = counts.get(cand, 0) + 1
                 n //= cand
         d += 6
+    if n > 1:
+        _split(n, counts)
+    return sorted(counts.items())
 
-    stack = [n] if n > 1 else []
+
+def _split(n: int, counts: dict[int, int]) -> None:
+    """Count the prime factors of n > 1 into counts: is_prime, else Brent's method."""
+    stack = [n]
     while stack:
         n = stack.pop()
         if is_prime(n):
@@ -133,7 +150,75 @@ def factorize(v: int) -> list[tuple[int, int]]:
         g = _brent_factor(n)
         stack.append(g)
         stack.append(n // g)
-    return sorted(counts.items())
+
+
+def _odd_primes(b: int) -> list[int]:
+    """The odd primes up to b, by the sieve of Eratosthenes over the odd numbers."""
+    odd = bytearray([1]) * ((b + 1) // 2)  # odd[i] stands for 2i + 1
+    for i in range(1, math.isqrt(b) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
+    return list(compress(range(3, b + 1, 2), odd[1:]))
+
+
+def _sieve_orders(lo: int, hi: int, every: bool, factor: bool
+                  ) -> Iterator[tuple[int, bool, list[tuple[int, int]] | None]]:
+    """(n, whether 2n+1 is prime, n's factorization) for the odd n in [lo, hi], ascending.
+
+    Only the orders with 2n+1 prime unless every; the factorization is None unless
+    factor.  The odd primes q <= B = min(isqrt(2hi + 1), _SIEVE_CAP) sieve one segment of
+    _SEGMENT orders at a time: 2n+1 is prime when no q divides it but itself, and the
+    q dividing n are its prime factors up to B.  Below (B+1)**2, a number with no prime
+    factor up to B is 1 or prime; from there on, which only a capped B reaches, is_prime
+    confirms a 2n+1 the sieve leaves and _split factors what is left of n.  For
+    3 <= lo and hi < 2**63.
+    """
+    if lo > hi:
+        return
+    b = min(math.isqrt(2 * hi + 1), _SIEVE_CAP)
+    past = (b + 1) ** 2
+    primes = _odd_primes(b)
+    for s in range(lo | 1, hi + 1, 2 * _SEGMENT):
+        size = min(_SEGMENT, (hi - s) // 2 + 1)  # orders s, s + 2, ..., s + 2(size - 1)
+        flags = bytearray([1]) * size
+        for q in primes:
+            h = (q + 1) // 2  # the inverse of 2 mod q
+            i = (h - 1 - s) * h % q  # q | 2n+1 for the n at index i, i + q, ...
+            if s + 2 * i == h - 1:  # 2n+1 = q itself
+                i += q
+            if i < size:
+                flags[i::q] = bytes(len(range(i, size, q)))
+        if factor:
+            spare: list[int] = []  # takes the divisors of every order not to be factorized
+            divs = [[] if every or f else spare for f in flags]
+            for q in primes:
+                for d in divs[-s * ((q + 1) // 2) % q :: q]:  # q | n
+                    d.append(q)
+        for i in range(size) if every else compress(range(size), flags):
+            n = s + 2 * i
+            prime = bool(flags[i]) and (2 * n + 1 < past or is_prime(2 * n + 1))
+            if prime or every:
+                yield n, prime, _cofactor_split(n, divs[i], past) if factor else None
+
+
+def _cofactor_split(n: int, ps: list[int], past: int) -> list[tuple[int, int]]:
+    """factorize(n), given ps: the ascending primes up to B that divide n, and past = (B+1)**2."""
+    out = []
+    for p in ps:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    if n < past:  # n is 1 or a prime above B
+        if n > 1:
+            out.append((n, 1))
+    else:
+        counts: dict[int, int] = {}
+        _split(n, counts)
+        out.extend(sorted(counts.items()))
+    return out
 
 
 def _generator_test(p: int) -> Callable[[int], bool]:

@@ -372,6 +372,12 @@ class TestCoverage:
         code, out, err = run(capsys, "coverage", "--range", str(lo), str(hi), "--format", fmt, *extra)
         assert (code, out, err) == (2, "", f"error: need an odd n >= 3, got {first}\n")
 
+    @pytest.mark.parametrize("extra", [[], ["--new-only"]])
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (2, 2), (4, 4), (-4, -4)])
+    def test_range_without_an_odd_order_is_empty(self, capsys, extra, lo, hi):
+        # no odd order lies in [lo, hi]: an empty answer in both modes
+        assert run(capsys, "coverage", "--range", str(lo), str(hi), *extra) == (0, "", "")
+
     def test_new_only_range_from_2_starts_at_3(self, capsys):
         # 2 is no order, so nothing is skipped; the reply is that of --range 3 30
         assert run(capsys, "coverage", "--range", "2", "30", "--new-only") == run(

@@ -204,21 +204,45 @@ class TestFactorizeOnce:
             assert calls["factorize"] == [n], n
             assert calls["is_prime"] == [2 * n + 1], n
 
-    def test_new_values_factorize_each_eligible_order_once(self, calls):
+    @pytest.fixture
+    def sieved(self, monkeypatch):
+        """The orders whose factors the range sieve reads off its divisor lists, in order."""
+        log = []
+        split = modnum._cofactor_split
+
+        def counted(n, ps, past):
+            log.append(n)
+            return split(n, ps, past)
+
+        monkeypatch.setattr(modnum, "_cofactor_split", counted)
+        return log
+
+    def test_new_values_factorize_each_eligible_order_once(self, calls, sieved):
+        # the sieve decides every 2n+1 and factors each eligible n once; below the
+        # cap no order reaches is_prime or factorize
         hi = 2001
         enumerate_new_values(hi)
-        assert calls["is_prime"] == [2 * n + 1 for n in range(3, hi + 1, 2)]
-        assert calls["factorize"] == [n for n in range(3, hi + 1, 2) if oracle_is_prime(2 * n + 1)]
+        assert calls == {"factorize": [], "is_prime": []}
+        assert sieved == [n for n in range(3, hi + 1, 2) if oracle_is_prime(2 * n + 1)]
 
-    def test_new_only_range_tests_only_its_own_orders(self, calls, capsys):
-        # the work of --range LO HI --new-only follows the range, not HI
+    def test_new_only_range_tests_only_its_own_orders(self, calls, sieved, capsys):
+        # the work of --range LO HI follows the range, not HI: the sieve visits
+        # exactly its odd orders, each once
         assert cli.main(["coverage", "--range", "1000140", "1000152", "--new-only"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "n=1000145 new=yes complement_prime=yes product=none families=-",
             "n=1000151 new=yes complement_prime=yes product=none families=p7mod8,sophie-germain",
         ]
-        assert calls["is_prime"] == [2 * n + 1 for n in range(1000141, 1000152, 2)]
-        assert calls["factorize"] == [1000145, 1000151]
+        assert sieved == [1000145, 1000151]
+        sieved.clear()
+        assert cli.main(["coverage", "--range", "1000140", "1000152"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert sieved == list(range(1000141, 1000152, 2))
+        assert calls == {"factorize": [], "is_prime": []}
+
+    def test_range_verdicts_match_classify(self):
+        # criterion 7's range, read from the sieve and order by order
+        assert coverage._verdicts(3, 10_001) == [classify(n) for n in range(3, 10_002, 2)]
 
 
 class TestNoReferenceCycles:
@@ -305,6 +329,14 @@ class TestEnumerations:
 
     def test_new_values_to_20_empty(self):
         assert enumerate_new_values(20) == []
+
+    def test_new_values_to_10_to_the_5(self):
+        assert len(enumerate_new_values(10**5)) == 5_034
+
+    @pytest.mark.parametrize("hi", [2, 0, -7])
+    def test_new_values_need_hi_at_least_3(self, hi):
+        with pytest.raises(ValueError, match=f"^need hi >= 3, got {hi}$"):
+            enumerate_new_values(hi)
 
     def test_new_prime_power_is_not_sophie_germain(self):
         # 59**3 is the smallest new order that is a prime power with exponent > 1

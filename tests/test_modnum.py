@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import tracemalloc
+from collections import deque
+from math import prod
+
 import numpy as np
 import pytest
 from helpers import multiplicative_order, power_table_logs, sieve_primes
@@ -64,6 +68,70 @@ class TestFactorize:
     def test_prime_iff_single_factor(self):
         for v in range(2, 20_000):
             assert modnum.is_prime(v) == (modnum.factorize(v) == [(v, 1)])
+
+
+def per_order(lo: int, hi: int) -> list[tuple[int, bool, list[tuple[int, int]]]]:
+    """What the range sieve yields for every odd n in [lo, hi], from the per-order path."""
+    return [(n, modnum.is_prime(2 * n + 1), modnum.factorize(n)) for n in range(lo | 1, hi + 1, 2)]
+
+
+class TestRangeSieve:
+    """modnum._sieve_orders, the range sieve, against is_prime and factorize order by order."""
+
+    def test_matches_the_per_order_path_to_30001(self):
+        # criterion 7's range, n <= 10**4, and three times beyond
+        assert list(modnum._sieve_orders(3, 30_001, True, True)) == per_order(3, 30_001)
+
+    def test_segment_edges(self, monkeypatch):
+        want = per_order(3, 2001)
+        for segment in (1, 2, 3, 7, 64):
+            monkeypatch.setattr(modnum, "_SEGMENT", segment)
+            assert list(modnum._sieve_orders(3, 2001, True, True)) == want, segment
+            assert list(modnum._sieve_orders(500, 1201, True, True)) == per_order(500, 1201), segment
+
+    @pytest.mark.parametrize("n", [3, 9, 13])
+    def test_single_order_ranges(self, n):
+        assert list(modnum._sieve_orders(n, n, True, True)) == per_order(n, n)
+
+    def test_eligible_orders_only_and_without_factors(self):
+        every = per_order(3, 5001)
+        assert list(modnum._sieve_orders(3, 5001, False, True)) == [t for t in every if t[1]]
+        assert list(modnum._sieve_orders(3, 5001, False, False)) == [(n, True, None) for n, p, _ in every if p]
+        assert list(modnum._sieve_orders(3, 5001, True, False)) == [(n, p, None) for n, p, _ in every]
+
+    def test_empty_range(self):
+        assert list(modnum._sieve_orders(9, 8, True, True)) == []
+
+    def test_low_cap_falls_back_to_is_prime_and_split(self, monkeypatch):
+        # primes up to 30 only: from 31**2 on, survivors go to is_prime and cofactors to _split
+        monkeypatch.setattr(modnum, "_SIEVE_CAP", 30)
+        assert list(modnum._sieve_orders(3, 20_001, True, True)) == per_order(3, 20_001)
+
+    def test_capped_window_below_2_63(self):
+        # 2n+1 near 2**64: the primes stop at the cap, 10**6, far below isqrt(2hi + 1)
+        top = (1 << 63) - 1
+        got = list(modnum._sieve_orders(top - 400, top, True, True))
+        assert [n for n, _, _ in got] == list(range(top - 400, top + 1, 2))
+        for n, prime, factors in got:
+            assert prime == modnum.is_prime(2 * n + 1), n
+            assert prod(p**e for p, e in factors) == n, n
+            assert all(modnum.is_prime(p) and e >= 1 for p, e in factors), n
+            assert factors == sorted(factors), n
+        # factorize's own trial division costs tens of milliseconds an order up here
+        for n, _, factors in got[-3:]:
+            assert factors == modnum.factorize(n), n
+        assert sum(prime for _, prime, _ in got) == 5
+
+    def test_memory_is_one_segment_whatever_the_range(self):
+        # 10**6 orders, each factorized where 2n+1 is prime, as enumerate_new_values walks them
+        walk = modnum._sieve_orders(3, 2 * 10**6, False, True)
+        tracemalloc.start()
+        try:
+            deque(walk, maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPrimitiveRoots:

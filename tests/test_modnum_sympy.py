@@ -56,6 +56,18 @@ class TestFactorize:
             assert modnum.factorize(v) == sorted(factorint(v).items()), v
 
 
+class TestRangeSieve:
+    def test_seeded_windows(self):
+        # windows of 100 odd orders: two where the sieving primes reach isqrt(2hi + 1),
+        # two where they stop at the cap (10**6) and is_prime and Brent's method take over
+        rng = random.Random(17)
+        for top in (10**6, 10**9, 10**13, 10**18):
+            lo = rng.randrange(3, top)
+            for n, prime, factors in modnum._sieve_orders(lo, lo + 199, True, True):
+                assert prime == sympy.isprime(2 * n + 1), n
+                assert factors == sorted(factorint(n).items()), n
+
+
 class TestPrimitiveRoots:
     @pytest.mark.parametrize("p", PRIMES_2000[::40])
     def test_every_residue_of_sampled_primes(self, p):
