@@ -11,10 +11,10 @@ discrete-log construction in this package produces a cover directly.  An
 order is *new* when only the second criterion applies: the discrete-log
 route certifies it and the product criterion does not.
 
-Each order is factorized once: its divisors, and the factorization of
-every cofactor, come from that one list, and nothing is cached between
-calls.  A single order (classify) takes its factorization from
-modnum.factorize and its 2n+1 from modnum.is_prime; a range of orders
+Each order is factorized once: its candidate bases by the exponent rule,
+and the split of every cofactor, come from that one list, and nothing is
+cached between calls.  A single order (classify) takes its factorization
+from modnum.factorize and its 2n+1 from modnum.is_prime; a range of orders
 (enumerate_eligible, enumerate_new_values, the CLI's --range) takes both from
 one segmented sieve over the range, modnum._sieve_orders.  Verdicts never
 assert non-existence; "not covered" means not covered by these criteria.
@@ -52,15 +52,15 @@ class FormTag:
 
 
 def _form_tag(v: int) -> FormTag | None:
-    """First quadratic-form match among (k^2+1)/2, k^2, k^2+1 with k >= 1."""
+    """First quadratic-form match among (k^2+1)/2, k^2, k^2+1 with k >= 1, for v >= 1."""
     k = isqrt(2 * v - 1)
-    if k >= 1 and k * k == 2 * v - 1:
+    if k * k == 2 * v - 1:
         return FormTag(HALF_SQUARE_PLUS, k)
     k = isqrt(v)
-    if k >= 1 and k * k == v:
+    if k * k == v:
         return FormTag(SQUARE, k)
-    k = isqrt(v - 1) if v >= 1 else 0
-    if k >= 1 and k * k == v - 1:
+    k = isqrt(v - 1)
+    if k * k == v - 1:
         return FormTag(SQUARE_PLUS, k)
     return None
 
@@ -146,31 +146,24 @@ def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCerti
     """First qualifying decomposition of odd n, given n's factorization; or None.
 
     The trivial decomposition (base n, no factors) is preferred when the
-    whole of n qualifies as a base; otherwise proper bases are tried in
-    ascending order, splitting each cofactor prime by prime by the rule of
-    _exponent_partition.  A base's cofactor keeps the exponents n has beyond
-    the base's, so nothing is factorized again.  Deterministic throughout.
+    whole of n qualifies as a base; otherwise the candidate bases by the
+    exponent rule are tried in ascending order.  A candidate takes p**i from
+    each prime p**e of n only where _exponent_partition splits the leftover
+    p**(e - i), and carries that split along, so no other base could ever
+    complete and nothing is factorized again.  Deterministic throughout.
     """
     tag = _base_tag(n)
     if tag is not None:
         return ProductCertificate(n, tag, ())
-    divisors: list[tuple[int, tuple[int, ...]]] = [(1, ())]  # (d, exponent of each prime in d)
+    bases: list[tuple[int, tuple[tuple[int, FormTag], ...]]] = [(1, ())]  # (base, cofactor split)
     for p, e in factors:
-        divisors = [(d * p**i, (*ex, i)) for d, ex in divisors for i in range(e + 1)]
-    divisors.sort()
-    for base, ex in divisors[:-1]:  # the last divisor is n itself
+        choices = [(p**i, parts) for i in range(e + 1) if (parts := _exponent_partition(p, e - i)) is not None]
+        bases = [(base * d, qs + parts) for base, qs in bases for d, parts in choices]
+    bases.sort(key=lambda b: b[0])
+    for base, qs in bases[:-1]:  # the last candidate is n itself
         tag = _base_tag(base)
-        if tag is None:
-            continue
-        qs: list[tuple[int, FormTag]] = []
-        for (p, e), i in zip(factors, ex):
-            parts = _exponent_partition(p, e - i)  # () when the base takes all of p
-            if parts is None:
-                break
-            qs.extend(parts)
-        else:
-            qs.sort(key=lambda f: f[0])
-            return ProductCertificate(base, tag, tuple(qs))
+        if tag is not None:
+            return ProductCertificate(base, tag, tuple(sorted(qs, key=lambda f: f[0])))
     return None
 
 
@@ -230,6 +223,7 @@ def enumerate_new_values(hi: int) -> list[NewValue]:
     hi = modnum._strict_int(hi, "hi")
     if hi < 3:
         raise ValueError(f"need hi >= 3, got {hi}")
+    modnum._check_order_fits(hi, "hi")
     return _new_values(3, hi)
 
 
@@ -243,9 +237,10 @@ def _first_order(lo: int, hi: int) -> int:
 
 def _new_values(lo: int, hi: int) -> list[NewValue]:
     """enumerate_new_values over the odd n in [lo, hi], read from the range sieve;
-    empty when the range holds no odd n."""
+    empty when the range holds no odd n, refused (naming hi) when its last odd n is 2**63 or more."""
     start = _first_order(lo, hi)
-    modnum._check_order_fits(hi, "hi")
+    if start <= hi and hi > 1 << 63:
+        modnum._check_order_fits(hi, "hi")
     out = []
     for n, _, factors in modnum._sieve_orders(start, hi, False, True):
         if _product_certificate(n, factors):

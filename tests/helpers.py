@@ -319,3 +319,42 @@ def reference_exponent_partition(p: int, e: int, tag) -> tuple | None:
         return None
 
     return search(e, 1)
+
+
+def reference_product_certificate(n: int, base_tag, tag) -> tuple | None:
+    """(base, base tag, sorted factors) of n's first qualifying decomposition, or None.
+
+    The divisor walk that coverage's candidate list replaced: n itself first,
+    then every proper divisor in ascending order, each cofactor prime split by
+    reference_exponent_partition, so no theorem about which powers qualify is
+    assumed.  n is factorized by trial division; base_tag(a) and tag(p, t)
+    return the qualifying tag of a base a and of p**t, or None.
+    """
+    if (btag := base_tag(n)) is not None:
+        return n, btag, ()
+    factors, rest, d = [], n, 3
+    while d * d <= rest:
+        e = 0
+        while rest % d == 0:
+            rest //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 2
+    if rest > 1:
+        factors.append((rest, 1))
+    divisors = [(1, ())]  # (d, exponent of each prime in d)
+    for p, e in factors:
+        divisors = [(d * p**i, (*ex, i)) for d, ex in divisors for i in range(e + 1)]
+    for base, ex in sorted(divisors)[:-1]:  # the last divisor is n itself
+        if (btag := base_tag(base)) is None:
+            continue
+        qs = []
+        for (p, e), i in zip(factors, ex):
+            parts = reference_exponent_partition(p, e - i, tag)
+            if parts is None:
+                break
+            qs.extend(parts)
+        else:
+            return base, btag, tuple(sorted(qs, key=lambda f: f[0]))
+    return None

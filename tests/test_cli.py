@@ -360,6 +360,16 @@ class TestCoverage:
         assert out == ""
         assert err == f"error: n must be below 2**63 so that 2n+1 fits in 64 bits, got {first}\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_new_only_range_whose_odd_orders_fit_is_answered(self, capsys, fmt):
+        # hi = 2**63 is even: the range's last odd order, 2**63 - 1, still fits
+        code, out, err = run(capsys, "coverage", "--range", str(2**63 - 7), str(2**63), "--format", fmt, "--new-only")
+        assert (code, err) == (0, "")
+        if fmt == "text":
+            assert out == ""  # none of the four orders is new
+        else:
+            assert json.loads(out)["result"] == {"verdicts": []}
+
     def test_new_only_needs_range(self, capsys):
         code, _, err = run(capsys, "coverage", "--n", "23", "--new-only")
         assert code == 2
@@ -373,7 +383,7 @@ class TestCoverage:
         assert (code, out, err) == (2, "", f"error: need an odd n >= 3, got {first}\n")
 
     @pytest.mark.parametrize("extra", [[], ["--new-only"]])
-    @pytest.mark.parametrize("lo, hi", [(0, 0), (2, 2), (4, 4), (-4, -4)])
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (2, 2), (4, 4), (-4, -4), (2**63, 2**63)])
     def test_range_without_an_odd_order_is_empty(self, capsys, extra, lo, hi):
         # no odd order lies in [lo, hi]: an empty answer in both modes
         assert run(capsys, "coverage", "--range", str(lo), str(hi), *extra) == (0, "", "")

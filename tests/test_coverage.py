@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import gc
+from math import prod
 
 import numpy as np
 import pytest
-from helpers import oracle_is_prime, oracle_product_covered, reference_exponent_partition, sieve_primes
+from helpers import (
+    oracle_is_prime,
+    oracle_product_covered,
+    reference_exponent_partition,
+    reference_product_certificate,
+    sieve_primes,
+)
 
 from odckit import cli, coverage, modnum
 from odckit.coverage import (
@@ -273,6 +280,37 @@ class TestExponentRule:
                 e += 1
                 cases += 1
         assert cases == 46_382
+
+
+class TestCandidateBases:
+    """The first qualifying base among the exponent rule's candidates is the
+    first among all of n's divisors, as the reference divisor walk finds it."""
+
+    @staticmethod
+    def _check(n):
+        cert = classify(n).product_cert
+        got = None if cert is None else (cert.base, cert.base_tag, cert.factors)
+        want = reference_product_certificate(n, coverage._base_tag, coverage._prime_power_tag)
+        assert got == want, n
+
+    def test_every_odd_order_up_to_2e4(self):
+        for n in range(3, 20_001, 2):
+            self._check(n)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3**39,  # 40 divisors; 3 is 3 mod 4, so only even leftovers split
+            3 * 5**20,
+            3**2 * 5**4 * 7**2 * 13**3,
+            prod(sieve_primes(47)[1:]),  # the odd primes 3..47: 16,384 divisors
+            # 97 * 47293 * 100741: the smallest base, 97 * 100741, is not the first
+            # candidate in the per-prime product order, which tries 47293 * 100741 first
+            462_141_378_961,
+        ],
+    )
+    def test_orders_with_many_divisors(self, n):
+        self._check(n)
 
 
 class TestOracleAgreement:
