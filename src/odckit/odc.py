@@ -50,16 +50,20 @@ def _pair_distances(vs: Sequence[int], n: int) -> list[int] | None:
     half = m + 1  # the inverse of 2 mod n
     first = [-1] * (m + 1)  # x + y of each length's first edge
     dist = [0] * (m + 1)
-    for x, y in zip(vs, vs[1:]):
+    steps = iter(vs)
+    x = next(steps)
+    for y in steps:
         d = (y - x) % n
         ell = d if 2 * d < n else n - d
-        if first[ell] < 0:
+        f = first[ell]
+        if f < 0:
             first[ell] = x + y
         elif dist[ell]:
             return None
         else:
-            k = (x + y - first[ell]) * half % n
+            k = (x + y - f) * half % n
             dist[ell] = k if 2 * k < n else n - k
+        x = y
     return dist[1:]
 
 

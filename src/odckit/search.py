@@ -7,7 +7,8 @@ lead to a terrace.  Each full-length path goes once through odc's starter
 scan, the package's only one.
 
 The kernel, _explore, passes the unused vertices down as an ascending tuple,
-so a node tries only those, and takes edge lengths from a table built once.
+so a node tries only those.  It reads edge lengths and pair distances from
+tables built once per call (_tables), with no mod-n arithmetic per node.
 Each call returns its own placement count instead of updating shared state,
 and the last vertex of a path is placed in its parent's loop, not by a call.
 
@@ -103,8 +104,8 @@ def canonical_form(path: VertexPath) -> VertexPath:
 def _canonical_tuple(vs: tuple[int, ...], n: int) -> tuple[int, ...]:
     """canonical_form of a path that starts at vertex 0, on raw vertices."""
     last = vs[-1]
-    rev = tuple((v - last) % n for v in reversed(vs))
-    return min(vs, rev)
+    shift = (tuple(range(n)) * 2)[n - last : 2 * n - last]  # shift[v] = (v - last) % n
+    return min(vs, tuple(map(shift.__getitem__, reversed(vs))))
 
 
 def _seed(n: int, prefix: tuple[int, ...], prune: PruneLevel) -> tuple[list[int], list[int], list[bool]] | None:
@@ -127,6 +128,17 @@ def _seed(n: int, prefix: tuple[int, ...], prune: PruneLevel) -> tuple[list[int]
     return counts, sums, taken
 
 
+def _tables(n: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """_explore's lookups: rows[u][v] is the length of edge {u, v}, and
+    pair_distance[s] the distance of two same-length edges whose endpoint
+    sums differ by s, for -2n < s < 2n."""
+    lengths = tuple(min(d, n - d) for d in range(n))  # lengths[d]: the length of difference d
+    rows = [lengths[-u:] + lengths[:-u] for u in range(n)]  # rotated right by u: lengths[(v - u) % n]
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    # two periods, so an index s in (-2n, 2n) reads the entry of s mod n, a negative s from the end
+    return rows, tuple(lengths[s * half % n] for s in range(n)) * 2
+
+
 def _explore(n: int, prefix: tuple[int, ...], prune: PruneLevel, on_leaf: Callable[[tuple[int, ...]], bool]) -> int:
     """Depth-first search of the paths that start with prefix, which passes the cuts.
 
@@ -139,16 +151,16 @@ def _explore(n: int, prefix: tuple[int, ...], prune: PruneLevel, on_leaf: Callab
     on_leaf has stopped the search, so a stop unwinds without restoring
     state.  A same-length pair's distance is half the difference of its
     endpoint sums (as in odc._pair_distances), so the DISTANCES cut keeps
-    the endpoint sum of each length's first edge.
+    the endpoint sum of each length's first edge.  Both lookups come from
+    _tables: row u of the length table is one tuple of lengths rotated by
+    u, and the distance table holds two periods, so an endpoint-sum
+    difference in (-2n, 2n) indexes it as it is, with no reduction mod n.
     """
     if n == 3:
         # (0, t, 3 - t): both edges have length 1 and distance 1, which no cut rejects
         on_leaf((0, prefix[1], 3 - prefix[1]))
         return 2
-    half = (n + 1) // 2  # the inverse of 2 mod n
-    ell = [[min((v - u) % n, (u - v) % n) for v in range(n)] for u in range(n)]
-    # distance of two same-length edges whose endpoint sums differ by s (mod n)
-    pair_distance = [ell[0][s * half % n] for s in range(n)]
+    ell, pair_distance = _tables(n)
     cap = n if prune is PruneLevel.NONE else 2  # a length held cap times cuts; none is held n times
     cut_distances = prune is PruneLevel.DISTANCES
     counts, sums, taken = _seed(n, prefix, prune)  # taken[0] is never a real distance
@@ -167,7 +179,7 @@ def _explore(n: int, prefix: tuple[int, ...], prune: PruneLevel, on_leaf: Callab
             k = 0
             if cut_distances:
                 if c:
-                    k = pair_distance[(prev + v - sums[length]) % n]
+                    k = pair_distance[prev + v - sums[length]]
                     if taken[k]:
                         continue
                     taken[k] = True
@@ -181,7 +193,7 @@ def _explore(n: int, prefix: tuple[int, ...], prune: PruneLevel, on_leaf: Callab
                 last_length = ell[v][w]
                 held = counts[last_length] + (last_length == length)
                 if held != cap and not (
-                    cut_distances and held and taken[pair_distance[(v + w - sums[last_length]) % n]]
+                    cut_distances and held and taken[pair_distance[v + w - sums[last_length]]]
                 ):
                     nodes += 1
                     path[-1] = w
@@ -248,7 +260,8 @@ def _walk(cfg: SearchConfig, root: tuple[int, ...]) -> tuple[int, list[tuple[int
             sub_nodes, sub = subtrees[r]
             if r != t:
                 a = next(a for a in units if a * r % n == t)
-                sub = sorted(tuple(a * v % n for v in vs) for vs in sub)
+                times_a = tuple(a * v % n for v in range(n))
+                sub = sorted(tuple(map(times_a.__getitem__, vs)) for vs in sub)
                 kept = [vs for vs in sub if canonical(vs)]
                 if limit is not None and len(found) + len(kept) >= limit:
                     # the stop falls inside this subtree: search it for the exact node count

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,21 @@ def small_paths(max_n: int = 13):
         .flatmap(lambda n: st.permutations(range(n)))
         .map(lambda vs: VertexPath(tuple(vs)))
     )
+
+
+def terraces_and_permutations(max_n: int = 61):
+    """Vertex tuples of odd order up to max_n: plain permutations, almost never
+    terraces at large n, and images of the terrace 0, 1, -1, 2, -2, ... under
+    x -> a*x + b for a unit a, reversed or not, which all are."""
+    orders = st.integers(min_value=1, max_value=(max_n - 1) // 2).map(lambda m: 2 * m + 1)
+
+    def images(n):
+        zigzag = (0, *(s * i % n for i in range(1, n // 2 + 1) for s in (1, -1)))
+        return st.tuples(
+            st.sampled_from([a for a in range(1, n) if gcd(a, n) == 1]), st.integers(0, n - 1), st.booleans()
+        ).map(lambda abr: tuple((abr[0] * v + abr[1]) % n for v in (zigzag[::-1] if abr[2] else zigzag)))
+
+    return st.one_of(orders.flatmap(lambda n: st.permutations(range(n))).map(tuple), orders.flatmap(images))
 
 
 class TestEdgeDistance:
@@ -101,6 +117,13 @@ class TestStarterScan:
                 assert dict(enumerate(profile, 1)) == want, vs
             kinds[want is not None, starter] += 1
         assert len(kinds) == (2 if n == 7 else 3)  # Z_7 has no starter
+
+    @given(terraces_and_permutations())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_matches_the_oracle_up_to_order_61(self, vs):
+        n = len(vs)
+        want = distance_profile_oracle(vs)
+        assert odc._pair_distances(vs, n) == (None if want is None else [want[ell] for ell in range(1, n // 2 + 1)])
 
     @given(small_paths())
     @settings(max_examples=200, deadline=None)

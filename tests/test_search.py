@@ -17,7 +17,9 @@ from odckit.pathcore import VertexPath
 from odckit.search import (
     PruneLevel,
     SearchConfig,
+    _canonical_tuple,
     _explore,
+    _tables,
     _walk,
     canonical_form,
     compare_with_construction,
@@ -197,6 +199,39 @@ class TestKernel:
             assert leaves == [(0, t, u, *q) for q in itertools.permutations(rest)]
             # u, then every partial arrangement of the n - 3 others
             assert nodes == 1 + sum(math.perm(n - 3, j) for j in range(1, n - 2))
+
+
+class TestTables:
+    """_explore's lookup tables and _canonical_tuple against the arithmetic they replace."""
+
+    def test_rows_and_pair_distances_up_to_order_101(self):
+        for n in range(3, 102, 2):
+            rows, pair_distance = _tables(n)
+            assert [list(row) for row in rows] == [[min((v - u) % n, (u - v) % n) for v in range(n)] for u in range(n)]
+            for s in range(-2 * n + 1, 2 * n):
+                k = s * (n + 1) // 2 % n
+                assert pair_distance[s] == min(k, n - k), (n, s)
+
+    @staticmethod
+    def reversal_by_arithmetic(vs):
+        n = len(vs)
+        return min(vs, tuple((v - vs[-1]) % n for v in reversed(vs)))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_canonical_tuple_of_every_path_from_zero(self, n):
+        for rest in itertools.permutations(range(1, n)):
+            vs = (0, *rest)
+            assert _canonical_tuple(vs, n) == self.reversal_by_arithmetic(vs)
+
+    @given(
+        st.integers(min_value=1, max_value=15)
+        .map(lambda m: 2 * m + 1)
+        .flatmap(lambda n: st.permutations(range(1, n)))
+        .map(lambda rest: (0, *rest))
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_tuple_up_to_order_31(self, vs):
+        assert _canonical_tuple(vs, len(vs)) == self.reversal_by_arithmetic(vs)
 
 
 class TestMultiplierQuotient:
