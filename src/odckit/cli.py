@@ -290,10 +290,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         lo, hi = args.range
         if lo > hi:
             raise ValueError(f"--range needs LO <= HI, got LO={lo} HI={hi}")
-        if args.new_only:
-            verdicts = [(nv.verdict, nv.families) for nv in coverage._new_values(lo, hi)]
-        else:
-            verdicts = [(v, None) for v in coverage._verdicts(lo, hi)]
+        verdicts = list(coverage._range_verdicts(lo, hi, args.new_only))
         inputs = {"range": [lo, hi], "new_only": args.new_only}
 
     # Re-derive every certificate's tags in-process before reporting.

@@ -5,7 +5,8 @@ n = base * q_1 * ... * q_r where the base is a previously-known order (one of
 three quadratic forms or a sporadic list) and every q_i is a qualifying prime
 power congruent to 1 mod 4.  Each prime p of the cofactor splits by rule: into
 copies of p when p qualifies, else into copies of p**2, else not at all, since
-no p**t with odd t >= 3 qualifies (theorems of Lebesgue and Størmer).  The
+no p**t with odd t >= 3 qualifies (theorems of Lebesgue and Størmer); so the
+rule is decided once per prime of an order, by one test of p.  The
 *prime-complement criterion* holds whenever 2n+1 is prime, in which case the
 discrete-log construction in this package produces a cover directly.  An
 order is *new* when only the second criterion applies: the discrete-log
@@ -16,12 +17,14 @@ and the split of every cofactor, come from that one list, and nothing is
 cached between calls.  A single order (classify) takes its factorization
 from modnum.factorize and its 2n+1 from modnum.is_prime; a range of orders
 (enumerate_eligible, enumerate_new_values, the CLI's --range) takes both from
-one segmented sieve over the range, modnum._sieve_orders.  Verdicts never
+one segmented sieve over the range, modnum._sieve_orders, and one generator,
+_range_verdicts, serves every range of verdicts or new values.  Verdicts never
 assert non-existence; "not covered" means not covered by these criteria.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt, prod
 
@@ -126,20 +129,19 @@ class ProductCertificate:
         return self.base * prod(q for q, _ in self.factors)
 
 
-def _exponent_partition(p: int, e: int) -> tuple[tuple[int, FormTag], ...] | None:
-    """p**e, for an odd prime p, as qualifying prime powers in (p**t, tag) pairs:
-    e copies of p when p qualifies, else e/2 copies of p**2 when e is even, else None.
+def _prime_splits(p: int, e: int) -> list[tuple[int, tuple[tuple[int, FormTag], ...]]]:
+    """The choices for the power p**e of an odd prime p in n: each (p**i, split), i ascending,
+    whose leftover p**(e - i) splits into qualifying prime powers, as (p**t, tag) pairs.
+    p is tested once: the split is copies of p when p qualifies, else copies of p**2,
+    which needs e - i even.
 
     p**2 always qualifies, being a square and 1 mod 4.  Even powers are products of
     p**2, and no p**t with odd t >= 3 qualifies: it is no square, p**t = k**2 + 1
     has no solution (V.-A. Lebesgue, 1850), nor has p**t = (k**2 + 1)/2 (C. Størmer, 1899).
     """
     tag = _prime_power_tag(p, 1)
-    if tag is not None:
-        return ((p, tag),) * e
-    if e % 2:
-        return None
-    return ((p * p, _prime_power_tag(p, 2)),) * (e // 2)
+    t, part = (1, (p, tag)) if tag is not None else (2, (p * p, _prime_power_tag(p, 2)))
+    return [(p**i, (part,) * ((e - i) // t)) for i in range(e % t, e + 1, t)]
 
 
 def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCertificate | None:
@@ -148,7 +150,7 @@ def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCerti
     The trivial decomposition (base n, no factors) is preferred when the
     whole of n qualifies as a base; otherwise the candidate bases by the
     exponent rule are tried in ascending order.  A candidate takes p**i from
-    each prime p**e of n only where _exponent_partition splits the leftover
+    each prime p**e of n only where _prime_splits splits the leftover
     p**(e - i), and carries that split along, so no other base could ever
     complete and nothing is factorized again.  Deterministic throughout.
     """
@@ -157,7 +159,7 @@ def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCerti
         return ProductCertificate(n, tag, ())
     bases: list[tuple[int, tuple[tuple[int, FormTag], ...]]] = [(1, ())]  # (base, cofactor split)
     for p, e in factors:
-        choices = [(p**i, parts) for i in range(e + 1) if (parts := _exponent_partition(p, e - i)) is not None]
+        choices = _prime_splits(p, e)
         bases = [(base * d, qs + parts) for base, qs in bases for d, parts in choices]
     bases.sort(key=lambda b: b[0])
     for base, qs in bases[:-1]:  # the last candidate is n itself
@@ -224,43 +226,35 @@ def enumerate_new_values(hi: int) -> list[NewValue]:
     if hi < 3:
         raise ValueError(f"need hi >= 3, got {hi}")
     modnum._check_order_fits(hi, "hi")
-    return _new_values(3, hi)
+    return [NewValue(v, families) for v, families in _range_verdicts(3, hi, True)]
 
 
-def _first_order(lo: int, hi: int) -> int:
-    """The first odd n >= lo; like classify, refuse it when it lies in [lo, hi] below 3."""
+def _range_verdicts(lo: int, hi: int, new_only: bool
+                    ) -> Iterator[tuple[CoverageVerdict, tuple[str, ...] | None]]:
+    """Each odd n in [lo, hi] with its verdict as classify gives it, read from the range
+    sieve, and families None; when new_only, only the new values, with their families
+    as in enumerate_new_values.  Empty when the range holds no odd n.
+
+    Before its first verdict, like classify, it refuses a first odd n below 3, or an n
+    past 2**63: named as hi when new_only, else as the range's first order past the bound.
+    """
     start = lo | 1
     if start < 3 and start <= hi:
         raise ValueError(f"need an odd n >= 3, got {start}")
-    return start
-
-
-def _new_values(lo: int, hi: int) -> list[NewValue]:
-    """enumerate_new_values over the odd n in [lo, hi], read from the range sieve;
-    empty when the range holds no odd n, refused (naming hi) when its last odd n is 2**63 or more."""
-    start = _first_order(lo, hi)
     if start <= hi and hi > 1 << 63:
-        modnum._check_order_fits(hi, "hi")
-    out = []
-    for n, _, factors in modnum._sieve_orders(start, hi, False, True):
-        if _product_certificate(n, factors):
-            continue
-        families = []
-        if n % 4 == 3:
-            families.append(FAMILY_P7MOD8)
-        if factors == [(n, 1)]:
-            families.append(FAMILY_SOPHIE_GERMAIN)
-        if n % 4 == 1 and len(factors) % 2 == 0 and all(e == 1 and p % 4 == 3 for p, e in factors):
-            families.append(FAMILY_EVEN_3MOD4_PRODUCT)
-        out.append(NewValue(CoverageVerdict(n, None, True), tuple(families)))
-    return out
-
-
-def _verdicts(lo: int, hi: int) -> list[CoverageVerdict]:
-    """classify for each odd n in [lo, hi], read from the range sieve.  Like classify, it
-    refuses an order below 3, or the first one past 2**63, before any verdict."""
-    start = _first_order(lo, hi)
-    if start <= hi and hi > 1 << 63:
+        if new_only:
+            modnum._check_order_fits(hi, "hi")
         modnum._check_order_fits(max(start, (1 << 63) + 1), "n")
-    return [CoverageVerdict(n, _product_certificate(n, factors), prime)
-            for n, prime, factors in modnum._sieve_orders(start, hi, True, True)]
+    for n, prime, factors in modnum._sieve_orders(start, hi, not new_only, True):
+        cert = _product_certificate(n, factors)
+        if not new_only:
+            yield CoverageVerdict(n, cert, prime), None
+        elif cert is None:
+            families = []
+            if n % 4 == 3:
+                families.append(FAMILY_P7MOD8)
+            if factors == [(n, 1)]:
+                families.append(FAMILY_SOPHIE_GERMAIN)
+            if n % 4 == 1 and len(factors) % 2 == 0 and all(e == 1 and p % 4 == 3 for p, e in factors):
+                families.append(FAMILY_EVEN_3MOD4_PRODUCT)
+            yield CoverageVerdict(n, None, True), tuple(families)

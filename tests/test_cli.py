@@ -438,6 +438,35 @@ class TestCoverage:
         assert code == 1
         assert doc["verified"] is False
 
+    @pytest.mark.parametrize(
+        ("factor", "kind", "witness"),
+        [
+            (5, "square", 2),  # 3 * 5 = 15, but 5 qualifies as a small prime, not as 2**2
+            (13, "small-prime-1mod4", 13),  # every tag is right, but 3 * 13 = 39 is not 15
+        ],
+        ids=["mislabelled", "wrong-product"],
+    )
+    def test_forged_range_certificate_fails_the_recheck(self, capsys, monkeypatch, factor, kind, witness):
+        # the re-check reads every verdict of a range; the lines still print, the forged one among them
+        from odckit import coverage
+
+        cert = coverage.ProductCertificate(
+            3, coverage.FormTag(coverage.SPORADIC, 3), ((factor, coverage.FormTag(kind, witness)),)
+        )
+        forged = [(coverage.classify(13), None), (coverage.CoverageVerdict(15, cert, True), None)]
+        monkeypatch.setattr(coverage, "_range_verdicts", lambda lo, hi, new_only: iter(forged))
+        code, out, _ = run(capsys, "coverage", "--range", "13", "15")
+        assert code == 1
+        assert out == (
+            "n=13 new=no complement_prime=no product=13[half-square-plus:5]\n"
+            f"n=15 new=no complement_prime=yes product=3[sporadic:3]*{factor}[{kind}:{witness}]\n"
+        )
+        code, doc, _ = machine_doc(capsys, "coverage", "--range", "13", "15")
+        assert code == 1
+        assert doc["verified"] is False
+        assert [v["n"] for v in doc["result"]["verdicts"]] == [13, 15]
+        assert doc["result"]["verdicts"][1]["product"]["factors"] == [[factor, {"kind": kind, "witness": witness}]]
+
 
 class TestParsing:
     def test_unknown_command(self, capsys):

@@ -249,7 +249,9 @@ class TestFactorizeOnce:
 
     def test_range_verdicts_match_classify(self):
         # criterion 7's range, read from the sieve and order by order
-        assert coverage._verdicts(3, 10_001) == [classify(n) for n in range(3, 10_002, 2)]
+        got = list(coverage._range_verdicts(3, 10_001, False))
+        assert [v for v, _ in got] == [classify(n) for n in range(3, 10_002, 2)]
+        assert {families for _, families in got} == {None}
 
 
 class TestNoReferenceCycles:
@@ -266,16 +268,64 @@ class TestNoReferenceCycles:
             gc.enable()
 
 
+class TestOneTagPerPrime:
+    """The exponent rule tests each prime of an order once, whatever its exponent."""
+
+    @pytest.fixture
+    def tagged(self, monkeypatch):
+        """(n, n's factors, the primes p tagged as p**1) for each product-criterion
+        call, in order; tags outside those calls, as the CLI's re-check makes, are not logged."""
+        log = []
+        inside = []
+        tag, certificate = coverage._prime_power_tag, coverage._product_certificate
+
+        def counted_tag(p, t):
+            if t == 1 and inside:
+                inside[-1].append(p)
+            return tag(p, t)
+
+        def counted_certificate(n, factors):
+            log.append((n, list(factors), []))
+            inside.append(log[-1][2])
+            try:
+                return certificate(n, factors)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(coverage, "_prime_power_tag", counted_tag)
+        monkeypatch.setattr(coverage, "_product_certificate", counted_certificate)
+        return log
+
+    def test_repeated_primes_are_tagged_once(self, tagged):
+        n = 3**7 * 5**4 * 7**2 * 11
+        assert coverage._base_tag(n) is None
+        classify(n)
+        assert tagged == [(n, [(3, 7), (5, 4), (7, 2), (11, 1)], [3, 5, 7, 11])]
+
+    def test_every_order_of_a_range_tags_each_prime_once(self, tagged, capsys):
+        assert cli.main(["coverage", "--range", "3", "2001"]) == 0
+        capsys.readouterr()
+        assert [n for n, _, _ in tagged] == list(range(3, 2002, 2))
+        for n, factors, primes in tagged:
+            # an order that qualifies as a base is its own certificate: no prime is tagged
+            assert primes == ([] if coverage._base_tag(n) else [p for p, _ in factors]), n
+
+
 class TestExponentRule:
     def test_rule_matches_the_backtracking_search(self):
         # every odd prime p < 10**5 and every e >= 0 with p**e < 2**64; p = 2
-        # never divides an odd order, and its square is not 1 mod 4
+        # never divides an odd order, and its square is not 1 mod 4.  Each choice
+        # list is compared whole: every (p**i, split) whose leftover p**(e - i)
+        # the reference can split, in ascending i
         cases = 0
         for p in sieve_primes(10**5 - 1)[1:]:
+            splits = []  # the reference's split of p**k, for k = 0, 1, ...
             e = 0
             while p**e < 2**64:
-                got = coverage._exponent_partition(p, e)
-                if got != reference_exponent_partition(p, e, coverage._prime_power_tag):
+                splits.append(reference_exponent_partition(p, e, coverage._prime_power_tag))
+                want = [(p**i, parts) for i in range(e + 1) if (parts := splits[e - i]) is not None]
+                got = coverage._prime_splits(p, e)
+                if got != want:
                     pytest.fail(f"p={p}, e={e}: rule gives {got}")
                 e += 1
                 cases += 1
