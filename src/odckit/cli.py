@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Callable, Iterable
 
     from .coverage import CoverageVerdict, FormTag
     from .pathcore import VertexPath
@@ -278,6 +278,18 @@ def _verdict_line(v: CoverageVerdict, families: tuple[str, ...] | None = None) -
     return line
 
 
+def _rederives(table: dict[int, FormTag | None], check: Callable[[int], FormTag | None], v: int,
+               tag: FormTag) -> bool:
+    """Whether check(v), kept in table after its first call, is the certificate's tag; a v
+    that check refuses, such as a q that is no prime power, has no tag and fails."""
+    if v not in table:
+        try:
+            table[v] = check(v)
+        except ValueError:
+            table[v] = None
+    return table[v] is not None and table[v] == tag
+
+
 def cmd_coverage(args: argparse.Namespace) -> int:
     from . import coverage
 
@@ -293,11 +305,14 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         verdicts = list(coverage._range_verdicts(lo, hi, args.new_only))
         inputs = {"range": [lo, hi], "new_only": args.new_only}
 
-    # Re-derive every certificate's tags in-process before reporting.
+    # Re-derive every certificate's tags in-process before reporting, through the public
+    # checks, once per distinct base and q; each certificate compares its own tags.
+    bases: dict[int, FormTag | None] = {}
+    powers: dict[int, FormTag | None] = {}
     verified = all(
         cert.product == v.n
-        and coverage.qualifies_base(cert.base) == cert.base_tag
-        and all(coverage.qualifies_prime_power(q) == tag for q, tag in cert.factors)
+        and _rederives(bases, coverage.qualifies_base, cert.base, cert.base_tag)
+        and all(_rederives(powers, coverage.qualifies_prime_power, q, tag) for q, tag in cert.factors)
         for v, _ in verdicts
         if (cert := v.product_cert) is not None
     )

@@ -6,7 +6,8 @@ three quadratic forms or a sporadic list) and every q_i is a qualifying prime
 power congruent to 1 mod 4.  Each prime p of the cofactor splits by rule: into
 copies of p when p qualifies, else into copies of p**2, else not at all, since
 no p**t with odd t >= 3 qualifies (theorems of Lebesgue and Størmer); so the
-rule is decided once per prime of an order, by one test of p.  The
+rule is decided once per prime of an order, by one test of p, on plain ints;
+FormTag objects are built only for the certificate returned.  The
 *prime-complement criterion* holds whenever 2n+1 is prime, in which case the
 discrete-log construction in this package produces a cover directly.  An
 order is *new* when only the second criterion applies: the discrete-log
@@ -54,27 +55,28 @@ class FormTag:
     witness: int
 
 
-def _form_tag(v: int) -> FormTag | None:
-    """First quadratic-form match among (k^2+1)/2, k^2, k^2+1 with k >= 1, for v >= 1."""
+def _form_tag(v: int) -> tuple[str, int] | None:
+    """First quadratic-form match among (k^2+1)/2, k^2, k^2+1 with k >= 1, for v >= 1,
+    as a (kind, witness) pair."""
     k = isqrt(2 * v - 1)
     if k * k == 2 * v - 1:
-        return FormTag(HALF_SQUARE_PLUS, k)
+        return HALF_SQUARE_PLUS, k
     k = isqrt(v)
     if k * k == v:
-        return FormTag(SQUARE, k)
+        return SQUARE, k
     k = isqrt(v - 1)
     if k * k == v - 1:
-        return FormTag(SQUARE_PLUS, k)
+        return SQUARE_PLUS, k
     return None
 
 
-def _base_tag(a: int) -> FormTag | None:
-    """qualifies_base for an odd a >= 1 the caller has already validated."""
+def _base_tag(a: int) -> tuple[str, int] | None:
+    """qualifies_base's (kind, witness) for an odd a >= 1 the caller has already validated."""
     tag = _form_tag(a)
     if tag is not None:
         return tag
     if a in SPORADIC_BASES:
-        return FormTag(SPORADIC, a)
+        return SPORADIC, a
     return None
 
 
@@ -89,16 +91,16 @@ def qualifies_base(a: int) -> FormTag | None:
         raise ValueError(f"base order must be positive, got {a}")
     if a % 2 == 0:
         raise ValueError(f"base order must be odd, got {a}")
-    return _base_tag(a)
+    return None if (tag := _base_tag(a)) is None else FormTag(*tag)
 
 
-def _prime_power_tag(p: int, t: int) -> FormTag | None:
-    """qualifies_prime_power for q = p**t, with p already known to be prime."""
+def _prime_power_tag(p: int, t: int) -> tuple[str, int] | None:
+    """qualifies_prime_power's (kind, witness) for q = p**t, with p already known to be prime."""
     q = p**t
     if q % 4 != 1:
         return None
     if t == 1 and q < SMALL_PRIME_BOUND:
-        return FormTag(SMALL_PRIME_1MOD4, q)
+        return SMALL_PRIME_1MOD4, q
     return _form_tag(q)
 
 
@@ -107,13 +109,15 @@ def qualifies_prime_power(q: int) -> FormTag | None:
 
     Requires q ≡ 1 (mod 4).  A prime below 10**5 then qualifies outright
     (first match); otherwise one of the three quadratic forms must hold.
-    Raises for arguments that are not prime powers.
+    Raises for arguments that are not prime powers below 2**64.
     """
     q = modnum._strict_int(q, "q")
-    factors = modnum.factorize(q)
+    if q >= 1 << 64:
+        raise ValueError(f"q must be below 2**64, got {q}")
+    factors = modnum.factorize(q) if q >= 2 else []
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return _prime_power_tag(*factors[0])
+    return None if (tag := _prime_power_tag(*factors[0])) is None else FormTag(*tag)
 
 
 @dataclass(frozen=True)
@@ -129,44 +133,47 @@ class ProductCertificate:
         return self.base * prod(q for q, _ in self.factors)
 
 
-def _prime_splits(p: int, e: int) -> list[tuple[int, tuple[tuple[int, FormTag], ...]]]:
-    """The choices for the power p**e of an odd prime p in n: each (p**i, split), i ascending,
-    whose leftover p**(e - i) splits into qualifying prime powers, as (p**t, tag) pairs.
-    p is tested once: the split is copies of p when p qualifies, else copies of p**2,
-    which needs e - i even.
-
-    p**2 always qualifies, being a square and 1 mod 4.  Even powers are products of
-    p**2, and no p**t with odd t >= 3 qualifies: it is no square, p**t = k**2 + 1
-    has no solution (V.-A. Lebesgue, 1850), nor has p**t = (k**2 + 1)/2 (C. Størmer, 1899).
-    """
-    tag = _prime_power_tag(p, 1)
-    t, part = (1, (p, tag)) if tag is not None else (2, (p * p, _prime_power_tag(p, 2)))
-    return [(p**i, (part,) * ((e - i) // t)) for i in range(e % t, e + 1, t)]
-
-
 def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCertificate | None:
     """First qualifying decomposition of odd n, given n's factorization; or None.
 
     The trivial decomposition (base n, no factors) is preferred when the
-    whole of n qualifies as a base; otherwise the candidate bases by the
-    exponent rule are tried in ascending order.  A candidate takes p**i from
-    each prime p**e of n only where _prime_splits splits the leftover
-    p**(e - i), and carries that split along, so no other base could ever
-    complete and nothing is factorized again.  Deterministic throughout.
+    whole of n qualifies as a base; otherwise the candidate bases of the
+    exponent rule are tried in ascending order.  The rule: p is tested once,
+    and the leftover p**(e - i) of a prime power p**e of n splits into copies
+    of p**t, t = 1 when p qualifies, else t = 2, so a candidate takes p**i for
+    i in range(e % t, e + 1, t).  p**2 always qualifies, being a square and
+    1 mod 4.  Even powers are products of p**2, and no p**t with odd t >= 3
+    qualifies: it is no square, p**t = k**2 + 1 has no solution (V.-A.
+    Lebesgue, 1850), nor has p**t = (k**2 + 1)/2 (C. Størmer, 1899).  Bases
+    and verdicts are plain ints and (kind, witness) pairs; the split and its
+    FormTags are built for the base returned alone, so p**2 is tagged only
+    when the certificate holds it.  Nothing is factorized again.
     """
-    tag = _base_tag(n)
-    if tag is not None:
-        return ProductCertificate(n, tag, ())
-    bases: list[tuple[int, tuple[tuple[int, FormTag], ...]]] = [(1, ())]  # (base, cofactor split)
+    if (tag := _base_tag(n)) is not None:
+        return ProductCertificate(n, FormTag(*tag), ())
+    rules = []  # (p, t, the tag of p or None), one test of each prime
+    bases = [1]
     for p, e in factors:
-        choices = _prime_splits(p, e)
-        bases = [(base * d, qs + parts) for base, qs in bases for d, parts in choices]
-    bases.sort(key=lambda b: b[0])
-    for base, qs in bases[:-1]:  # the last candidate is n itself
-        tag = _base_tag(base)
-        if tag is not None:
-            return ProductCertificate(base, tag, tuple(sorted(qs, key=lambda f: f[0])))
-    return None
+        ptag = _prime_power_tag(p, 1)
+        t = 1 if ptag is not None else 2
+        rules.append((p, t, ptag))
+        bases = [b * p**i for i in range(e % t, e + 1, t) for b in bases]
+    bases.sort()
+    bases.pop()  # n itself, already tried
+    for base in bases:
+        if (tag := _base_tag(base)) is not None:
+            break
+    else:
+        return None
+    rest, split = n // base, []
+    for p, t, ptag in rules:
+        if rest % p == 0:
+            part = (p**t, FormTag(*(ptag or _prime_power_tag(p, 2))))
+            while rest % part[0] == 0:
+                rest //= part[0]
+                split.append(part)
+    split.sort(key=lambda f: f[0])
+    return ProductCertificate(base, FormTag(*tag), tuple(split))
 
 
 @dataclass(frozen=True)

@@ -467,6 +467,88 @@ class TestCoverage:
         assert [v["n"] for v in doc["result"]["verdicts"]] == [13, 15]
         assert doc["result"]["verdicts"][1]["product"]["factors"] == [[factor, {"kind": kind, "witness": witness}]]
 
+    @staticmethod
+    def _recheck(capsys, monkeypatch, verdicts):
+        """Exit code and text lines of a --range whose verdicts are these, checking that
+        machine mode answers with the same code, every verdict and verified = false."""
+        from odckit import coverage
+
+        monkeypatch.setattr(coverage, "_range_verdicts", lambda lo, hi, new_only: iter((v, None) for v in verdicts))
+        code, out, err = run(capsys, "coverage", "--range", "3", "3")
+        assert err == ""
+        mcode, doc, err = machine_doc(capsys, "coverage", "--range", "3", "3")
+        assert (mcode, err) == (code, "")
+        assert doc["verified"] is (code == 0)
+        assert [v["n"] for v in doc["result"]["verdicts"]] == [v.n for v in verdicts]
+        return code, out.splitlines()
+
+    @staticmethod
+    def _forged(n, base, base_tag, *factors):
+        from odckit import coverage
+
+        cert = coverage.ProductCertificate(
+            base, coverage.FormTag(*base_tag), tuple((q, coverage.FormTag(*tag)) for q, tag in factors)
+        )
+        return coverage.CoverageVerdict(n, cert, True)
+
+    @pytest.mark.parametrize(
+        ("genuine", "line", "forged", "product"),
+        [
+            (  # 35's certificate re-checks 5 as a small prime; a forged tag on 5 still fails
+                35,
+                "n=35 new=no complement_prime=yes product=7[sporadic:7]*5[small-prime-1mod4:5]",
+                (15, 3, ("sporadic", 3), (5, ("square", 2))),
+                "3[sporadic:3]*5[square:2]",
+            ),
+            (  # 39's certificate re-checks the base 3 as sporadic; a forged tag on it still fails
+                39,
+                "n=39 new=no complement_prime=yes product=3[sporadic:3]*13[small-prime-1mod4:13]",
+                (15, 3, ("half-square-plus", 2), (5, ("small-prime-1mod4", 5))),
+                "3[half-square-plus:2]*5[small-prime-1mod4:5]",
+            ),
+        ],
+        ids=["factor", "base"],
+    )
+    def test_forged_tag_on_a_value_already_rechecked_fails(self, capsys, monkeypatch, genuine, line, forged,
+                                                           product):
+        # the re-check reads each distinct base and q once, but every certificate is
+        # compared with the tag re-derived for it, not with an earlier certificate's verdict
+        from odckit import coverage
+
+        verdicts = [coverage.classify(genuine), self._forged(*forged)]
+        assert self._recheck(capsys, monkeypatch, verdicts[:1]) == (0, [line])
+        assert self._recheck(capsys, monkeypatch, verdicts) == (
+            1,
+            [line, f"n=15 new=no complement_prime=yes product={product}"],
+        )
+
+    @pytest.mark.parametrize(
+        ("forged", "product"),
+        [
+            ((45, 3, ("sporadic", 3), (15, ("sporadic", 15))), "3[sporadic:3]*15[sporadic:15]"),  # no prime power
+            ((3 * (2**64 + 1), 3, ("sporadic", 3), (2**64 + 1, ("square-plus", 2**32))),
+             f"3[sporadic:3]*{2**64 + 1}[square-plus:{2**32}]"),  # no q past 2**64 is checked
+            ((10, 2, ("half-square-plus", 2), (5, ("small-prime-1mod4", 5))),
+             "2[half-square-plus:2]*5[small-prime-1mod4:5]"),  # an even base
+            ((15, -3, ("sporadic", 3), (-5, ("small-prime-1mod4", 5))),
+             "-3[sporadic:3]*-5[small-prime-1mod4:5]"),  # a negative base
+        ],
+        ids=["composite-factor", "factor-past-2**64", "even-base", "negative-base"],
+    )
+    def test_certificate_outside_the_checks_domain_fails_the_recheck(self, capsys, monkeypatch, forged, product):
+        # a piece that qualifies_base or qualifies_prime_power refuses is a failed check,
+        # exit 1 with every line printed, the genuine verdict after it too, not bad input
+        from odckit import coverage
+
+        v = self._forged(*forged)
+        assert self._recheck(capsys, monkeypatch, [v, coverage.classify(5)]) == (
+            1,
+            [
+                f"n={v.n} new=no complement_prime=yes product={product}",
+                "n=5 new=no complement_prime=yes product=5[half-square-plus:3]",
+            ],
+        )
+
 
 class TestParsing:
     def test_unknown_command(self, capsys):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import gc
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     oracle_is_prime,
     oracle_product_covered,
@@ -22,12 +24,25 @@ from odckit.coverage import (
     SMALL_PRIME_1MOD4,
     SQUARE,
     SQUARE_PLUS,
+    FormTag,
     classify,
     enumerate_eligible,
     enumerate_new_values,
     qualifies_base,
     qualifies_prime_power,
 )
+
+
+def _base_tag(a):
+    """coverage's own base verdict, as the FormTag a certificate holds."""
+    tag = coverage._base_tag(a)
+    return None if tag is None else FormTag(*tag)
+
+
+def _prime_power_tag(p, t):
+    """coverage's own verdict on p**t, as the FormTag a certificate holds."""
+    tag = coverage._prime_power_tag(p, t)
+    return None if tag is None else FormTag(*tag)
 
 
 class TestQualifiesBase:
@@ -83,6 +98,20 @@ class TestQualifiesPrimePower:
             qualifies_prime_power(6)
         with pytest.raises(ValueError):
             qualifies_prime_power(1)
+
+    @pytest.mark.parametrize("q", [1, 0, -5, -(2**64)])
+    def test_below_two_is_no_prime_power(self, q):
+        with pytest.raises(ValueError, match=rf"^{q} is not a prime power$"):
+            qualifies_prime_power(q)
+
+    @pytest.mark.parametrize("q", [2**64, 2**64 + 1, 3**41])
+    def test_past_the_word_bound_names_q(self, q):
+        with pytest.raises(ValueError, match=rf"^q must be below 2\*\*64, got {q}$"):
+            qualifies_prime_power(q)
+
+    def test_largest_prime_below_the_bound_is_answered(self):
+        # 2**64 - 59 is prime and 1 mod 4, above 10**5 and of none of the three forms
+        assert qualifies_prime_power(2**64 - 59) is None
 
     def test_small_prime_bound_is_strict(self):
         primes = sieve_primes(110_000)
@@ -269,28 +298,32 @@ class TestNoReferenceCycles:
 
 
 class TestOneTagPerPrime:
-    """The exponent rule tests each prime of an order once, whatever its exponent."""
+    """The exponent rule tests each prime of an order once, whatever its exponent, and
+    tags p**2 only where the certificate it returns holds p**2."""
 
     @pytest.fixture
     def tagged(self, monkeypatch):
-        """(n, n's factors, the primes p tagged as p**1) for each product-criterion
-        call, in order; tags outside those calls, as the CLI's re-check makes, are not logged."""
+        """(n, n's factors, the primes p tagged as p**1, the primes p tagged as p**2, the
+        certificate returned) for each product-criterion call, in order; tags outside those
+        calls, as the CLI's re-check makes, are not logged."""
         log = []
         inside = []
         tag, certificate = coverage._prime_power_tag, coverage._product_certificate
 
         def counted_tag(p, t):
-            if t == 1 and inside:
-                inside[-1].append(p)
+            if inside:
+                inside[-1][t].append(p)
             return tag(p, t)
 
         def counted_certificate(n, factors):
-            log.append((n, list(factors), []))
-            inside.append(log[-1][2])
+            primes = {1: [], 2: []}
+            inside.append(primes)
             try:
-                return certificate(n, factors)
+                cert = certificate(n, factors)
             finally:
                 inside.pop()
+            log.append((n, list(factors), primes[1], primes[2], cert))
+            return cert
 
         monkeypatch.setattr(coverage, "_prime_power_tag", counted_tag)
         monkeypatch.setattr(coverage, "_product_certificate", counted_certificate)
@@ -300,31 +333,52 @@ class TestOneTagPerPrime:
         n = 3**7 * 5**4 * 7**2 * 11
         assert coverage._base_tag(n) is None
         classify(n)
-        assert tagged == [(n, [(3, 7), (5, 4), (7, 2), (11, 1)], [3, 5, 7, 11])]
+        assert [entry[:3] for entry in tagged] == [(n, [(3, 7), (5, 4), (7, 2), (11, 1)], [3, 5, 7, 11])]
 
     def test_every_order_of_a_range_tags_each_prime_once(self, tagged, capsys):
         assert cli.main(["coverage", "--range", "3", "2001"]) == 0
         capsys.readouterr()
-        assert [n for n, _, _ in tagged] == list(range(3, 2002, 2))
-        for n, factors, primes in tagged:
+        assert [n for n, *_ in tagged] == list(range(3, 2002, 2))
+        for n, factors, primes, _, _ in tagged:
             # an order that qualifies as a base is its own certificate: no prime is tagged
             assert primes == ([] if coverage._base_tag(n) else [p for p, _ in factors]), n
 
+    def test_squares_are_tagged_only_where_the_certificate_holds_them(self, tagged):
+        # the coverage workload's orders: p**2 is tagged once for each distinct p**2 factor
+        # of the returned certificate, and never for a base that was not returned
+        for n in range(3, 20_001, 2):
+            classify(n)
+        calls = 0
+        for n, factors, _, squares, cert in tagged:
+            held = {q for q, _ in cert.factors} & {p * p for p, _ in factors} if cert else set()
+            assert sorted(p * p for p in squares) == sorted(held), n
+            calls += len(squares)
+        assert calls == 815
+
 
 class TestExponentRule:
-    def test_rule_matches_the_backtracking_search(self):
+    def test_rule_matches_the_backtracking_search(self, monkeypatch):
         # every odd prime p < 10**5 and every e >= 0 with p**e < 2**64; p = 2
-        # never divides an odd order, and its square is not 1 mod 4.  Each choice
-        # list is compared whole: every (p**i, split) whose leftover p**(e - i)
-        # the reference can split, in ascending i
+        # never divides an odd order, and its square is not 1 mod 4.  For n = p**e,
+        # each p**i in turn is made the one base that qualifies: the certificate must
+        # be that base with the reference's split of p**(e - i) exactly when the
+        # reference can split it, so the candidate bases and the splits built for
+        # them are compared whole, in ascending i
+        probe = [0]
+        monkeypatch.setattr(coverage, "_base_tag", lambda a: ("probe", a) if a == probe[0] else None)
         cases = 0
         for p in sieve_primes(10**5 - 1)[1:]:
             splits = []  # the reference's split of p**k, for k = 0, 1, ...
             e = 0
             while p**e < 2**64:
-                splits.append(reference_exponent_partition(p, e, coverage._prime_power_tag))
+                splits.append(reference_exponent_partition(p, e, _prime_power_tag))
                 want = [(p**i, parts) for i in range(e + 1) if (parts := splits[e - i]) is not None]
-                got = coverage._prime_splits(p, e)
+                got = []
+                for i in range(e + 1):
+                    probe[0] = p**i
+                    if (cert := coverage._product_certificate(p**e, [(p, e)])) is not None:
+                        assert cert.base_tag == FormTag("probe", p**i)
+                        got.append((cert.base, cert.factors))
                 if got != want:
                     pytest.fail(f"p={p}, e={e}: rule gives {got}")
                 e += 1
@@ -332,20 +386,22 @@ class TestExponentRule:
         assert cases == 46_382
 
 
+def _reference(n):
+    return reference_product_certificate(n, _base_tag, _prime_power_tag)
+
+
+def _certificate(n):
+    cert = classify(n).product_cert
+    return None if cert is None else (cert.base, cert.base_tag, cert.factors)
+
+
 class TestCandidateBases:
     """The first qualifying base among the exponent rule's candidates is the
     first among all of n's divisors, as the reference divisor walk finds it."""
 
-    @staticmethod
-    def _check(n):
-        cert = classify(n).product_cert
-        got = None if cert is None else (cert.base, cert.base_tag, cert.factors)
-        want = reference_product_certificate(n, coverage._base_tag, coverage._prime_power_tag)
-        assert got == want, n
-
     def test_every_odd_order_up_to_2e4(self):
         for n in range(3, 20_001, 2):
-            self._check(n)
+            assert _certificate(n) == _reference(n), n
 
     @pytest.mark.parametrize(
         "n",
@@ -360,7 +416,45 @@ class TestCandidateBases:
         ],
     )
     def test_orders_with_many_divisors(self, n):
-        self._check(n)
+        assert _certificate(n) == _reference(n)
+
+
+def _pool(lo, hi, keep):
+    return [p for p in sieve_primes(hi) if p > lo and keep(p)]
+
+
+def _of_a_form(p):
+    """p = k**2 + 1 or (k**2 + 1)/2; a prime is never k**2."""
+    return isqrt(p - 1) ** 2 == p - 1 or isqrt(2 * p - 1) ** 2 == 2 * p - 1
+
+
+_BOUND = coverage.SMALL_PRIME_BOUND
+_PRIMES = st.one_of(
+    st.sampled_from(_pool(2, 200, lambda p: True)),
+    # just below the small-prime bound: every p ≡ 1 (mod 4) qualifies
+    st.sampled_from(_pool(_BOUND - 3000, _BOUND, lambda p: True)),
+    # above it, p ≡ 1 (mod 4) qualifies only by a quadratic form
+    st.sampled_from(_pool(_BOUND, 2 * _BOUND, lambda p: p % 4 == 1 and _of_a_form(p))),
+    st.sampled_from(_pool(_BOUND, _BOUND + 3000, lambda p: not _of_a_form(p))),
+)
+
+
+@st.composite
+def _orders(draw):
+    """An odd 3 <= n < 2**63 from primes on both sides of the small-prime bound, each
+    with an exponent of 1 to 6; a prime power that would pass 2**63 is left out."""
+    n = 1
+    for p, e in draw(st.lists(st.tuples(_PRIMES, st.integers(1, 6)), min_size=1, max_size=6)):
+        if n * p**e < 2**63:
+            n *= p**e
+    return n if n >= 3 else 3
+
+
+class TestAgainstTheDivisorWalk:
+    @given(_orders())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_certificate_is_the_reference_certificate(self, n):
+        assert _certificate(n) == _reference(n)
 
 
 class TestOracleAgreement:
