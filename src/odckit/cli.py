@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -54,14 +53,12 @@ def _finish(args: argparse.Namespace, inputs: dict[str, Any], result: Any, verif
     return EXIT_OK if verified else EXIT_VERIFY_FAILED
 
 
-def _form_dict(tag: FormTag) -> dict[str, Any]:
-    return {"kind": tag.kind, "witness": tag.witness}
-
-
 # ---------------------------------------------------------------- construct
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from . import construction, odc, pathcore
 
     # build_starter has already checked the terrace and starter properties;
@@ -250,8 +247,8 @@ def _verdict_dict(v: CoverageVerdict, families: tuple[str, ...] | None = None) -
         if cert is None
         else {
             "base": cert.base,
-            "base_form": _form_dict(cert.base_tag),
-            "factors": [[q, _form_dict(tag)] for q, tag in cert.factors],
+            "base_form": cert.base_tag._asdict(),
+            "factors": [[q, tag._asdict()] for q, tag in cert.factors],
         },
         "complement_prime": v.complement_prime,
         "is_new": v.is_new,

@@ -6,8 +6,8 @@ three quadratic forms or a sporadic list) and every q_i is a qualifying prime
 power congruent to 1 mod 4.  Each prime p of the cofactor splits by rule: into
 copies of p when p qualifies, else into copies of p**2, else not at all, since
 no p**t with odd t >= 3 qualifies (theorems of Lebesgue and Størmer); so the
-rule is decided once per prime of an order, by one test of p, on plain ints;
-FormTag objects are built only for the certificate returned.  The
+rule is decided once per prime of an order, by one test of p, and the split
+is built only for the certificate returned.  The
 *prime-complement criterion* holds whenever 2n+1 is prime, in which case the
 discrete-log construction in this package produces a cover directly.  An
 order is *new* when only the second criterion applies: the discrete-log
@@ -21,12 +21,16 @@ from modnum.factorize and its 2n+1 from modnum.is_prime; a range of orders
 one segmented sieve over the range, modnum._sieve_orders, and one generator,
 _range_verdicts, serves every range of verdicts or new values.  Verdicts never
 assert non-existence; "not covered" means not covered by these criteria.
+
+The four records (FormTag, ProductCertificate, CoverageVerdict, NewValue) are
+immutable named tuples: they unpack, index and compare equal to a plain tuple
+of the same fields, and _asdict() gives their fields in order.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import isqrt, prod
 
 from . import modnum
@@ -43,40 +47,37 @@ SPORADIC = "sporadic"
 SMALL_PRIME_1MOD4 = "small-prime-1mod4"
 
 
-@dataclass(frozen=True)
-class FormTag:
+class FormTag(namedtuple("FormTag", "kind witness")):
     """Why a number qualifies: the matched form and its witnessing integer.
 
     witness is the k of the matched quadratic form, or the value itself for
     sporadic / small-prime matches.
     """
 
-    kind: str
-    witness: int
+    __slots__ = ()
 
 
-def _form_tag(v: int) -> tuple[str, int] | None:
-    """First quadratic-form match among (k^2+1)/2, k^2, k^2+1 with k >= 1, for v >= 1,
-    as a (kind, witness) pair."""
+def _form_tag(v: int) -> FormTag | None:
+    """First quadratic-form match among (k^2+1)/2, k^2, k^2+1 with k >= 1, for v >= 1."""
     k = isqrt(2 * v - 1)
     if k * k == 2 * v - 1:
-        return HALF_SQUARE_PLUS, k
+        return FormTag(HALF_SQUARE_PLUS, k)
     k = isqrt(v)
     if k * k == v:
-        return SQUARE, k
+        return FormTag(SQUARE, k)
     k = isqrt(v - 1)
     if k * k == v - 1:
-        return SQUARE_PLUS, k
+        return FormTag(SQUARE_PLUS, k)
     return None
 
 
-def _base_tag(a: int) -> tuple[str, int] | None:
-    """qualifies_base's (kind, witness) for an odd a >= 1 the caller has already validated."""
+def _base_tag(a: int) -> FormTag | None:
+    """qualifies_base's tag for an odd a >= 1 the caller has already validated."""
     tag = _form_tag(a)
     if tag is not None:
         return tag
     if a in SPORADIC_BASES:
-        return SPORADIC, a
+        return FormTag(SPORADIC, a)
     return None
 
 
@@ -91,16 +92,16 @@ def qualifies_base(a: int) -> FormTag | None:
         raise ValueError(f"base order must be positive, got {a}")
     if a % 2 == 0:
         raise ValueError(f"base order must be odd, got {a}")
-    return None if (tag := _base_tag(a)) is None else FormTag(*tag)
+    return _base_tag(a)
 
 
-def _prime_power_tag(p: int, t: int) -> tuple[str, int] | None:
-    """qualifies_prime_power's (kind, witness) for q = p**t, with p already known to be prime."""
+def _prime_power_tag(p: int, t: int) -> FormTag | None:
+    """qualifies_prime_power's tag for q = p**t, with p already known to be prime."""
     q = p**t
     if q % 4 != 1:
         return None
     if t == 1 and q < SMALL_PRIME_BOUND:
-        return SMALL_PRIME_1MOD4, q
+        return FormTag(SMALL_PRIME_1MOD4, q)
     return _form_tag(q)
 
 
@@ -117,16 +118,14 @@ def qualifies_prime_power(q: int) -> FormTag | None:
     factors = modnum.factorize(q) if q >= 2 else []
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return None if (tag := _prime_power_tag(*factors[0])) is None else FormTag(*tag)
+    return _prime_power_tag(*factors[0])
 
 
-@dataclass(frozen=True)
-class ProductCertificate:
-    """A decomposition n = base * prod(factors) with every piece qualifying."""
+class ProductCertificate(namedtuple("ProductCertificate", "base base_tag factors")):
+    """A decomposition n = base * prod(factors) with every piece qualifying: base_tag is
+    the base's FormTag, and factors a tuple of (q, FormTag) pairs in ascending q."""
 
-    base: int
-    base_tag: FormTag
-    factors: tuple[tuple[int, FormTag], ...]
+    __slots__ = ()
 
     @property
     def product(self) -> int:
@@ -144,13 +143,13 @@ def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCerti
     i in range(e % t, e + 1, t).  p**2 always qualifies, being a square and
     1 mod 4.  Even powers are products of p**2, and no p**t with odd t >= 3
     qualifies: it is no square, p**t = k**2 + 1 has no solution (V.-A.
-    Lebesgue, 1850), nor has p**t = (k**2 + 1)/2 (C. Størmer, 1899).  Bases
-    and verdicts are plain ints and (kind, witness) pairs; the split and its
-    FormTags are built for the base returned alone, so p**2 is tagged only
-    when the certificate holds it.  Nothing is factorized again.
+    Lebesgue, 1850), nor has p**t = (k**2 + 1)/2 (C. Størmer, 1899).  The
+    candidate bases are plain ints; the split is built for the base returned
+    alone, so p**2 is tagged only when the certificate holds it.  Nothing is
+    factorized again.
     """
     if (tag := _base_tag(n)) is not None:
-        return ProductCertificate(n, FormTag(*tag), ())
+        return ProductCertificate(n, tag, ())
     rules = []  # (p, t, the tag of p or None), one test of each prime
     bases = [1]
     for p, e in factors:
@@ -168,21 +167,20 @@ def _product_certificate(n: int, factors: list[tuple[int, int]]) -> ProductCerti
     rest, split = n // base, []
     for p, t, ptag in rules:
         if rest % p == 0:
-            part = (p**t, FormTag(*(ptag or _prime_power_tag(p, 2))))
+            part = (p**t, ptag or _prime_power_tag(p, 2))
             while rest % part[0] == 0:
                 rest //= part[0]
                 split.append(part)
     split.sort(key=lambda f: f[0])
-    return ProductCertificate(base, FormTag(*tag), tuple(split))
+    return ProductCertificate(base, tag, tuple(split))
 
 
-@dataclass(frozen=True)
-class CoverageVerdict:
-    """Which criteria certify a cover of K_n for odd n."""
+class CoverageVerdict(namedtuple("CoverageVerdict", "n product_cert complement_prime")):
+    """Which criteria certify a cover of K_n for odd n: product_cert is the product
+    criterion's ProductCertificate or None, and complement_prime whether 2n+1 is prime,
+    so that the discrete-log construction applies."""
 
-    n: int
-    product_cert: ProductCertificate | None
-    complement_prime: bool  # 2n+1 prime: the discrete-log construction applies
+    __slots__ = ()
 
     @property
     def is_new(self) -> bool:
@@ -215,10 +213,10 @@ FAMILY_SOPHIE_GERMAIN = "sophie-germain"  # n itself prime
 FAMILY_EVEN_3MOD4_PRODUCT = "even-product-3mod4"  # even count of distinct primes ≡ 3 (mod 4)
 
 
-@dataclass(frozen=True)
-class NewValue:
-    verdict: CoverageVerdict
-    families: tuple[str, ...]
+class NewValue(namedtuple("NewValue", "verdict families")):
+    """A new value's CoverageVerdict and the tuple of its families."""
+
+    __slots__ = ()
 
 
 def enumerate_new_values(hi: int) -> list[NewValue]:
@@ -233,14 +231,14 @@ def enumerate_new_values(hi: int) -> list[NewValue]:
     if hi < 3:
         raise ValueError(f"need hi >= 3, got {hi}")
     modnum._check_order_fits(hi, "hi")
-    return [NewValue(v, families) for v, families in _range_verdicts(3, hi, True)]
+    return list(_range_verdicts(3, hi, True))
 
 
 def _range_verdicts(lo: int, hi: int, new_only: bool
                     ) -> Iterator[tuple[CoverageVerdict, tuple[str, ...] | None]]:
     """Each odd n in [lo, hi] with its verdict as classify gives it, read from the range
-    sieve, and families None; when new_only, only the new values, with their families
-    as in enumerate_new_values.  Empty when the range holds no odd n.
+    sieve, and families None; when new_only, only the new values, as the NewValue records
+    of enumerate_new_values.  Empty when the range holds no odd n.
 
     Before its first verdict, like classify, it refuses a first odd n below 3, or an n
     past 2**63: named as hi when new_only, else as the range's first order past the bound.
@@ -264,4 +262,4 @@ def _range_verdicts(lo: int, hi: int, new_only: bool
                 families.append(FAMILY_SOPHIE_GERMAIN)
             if n % 4 == 1 and len(factors) % 2 == 0 and all(e == 1 and p % 4 == 3 for p, e in factors):
                 families.append(FAMILY_EVEN_3MOD4_PRODUCT)
-            yield CoverageVerdict(n, None, True), tuple(families)
+            yield NewValue(CoverageVerdict(n, None, True), tuple(families))

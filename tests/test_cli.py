@@ -6,6 +6,7 @@ import json
 import pytest
 
 from odckit import cli
+from odckit.coverage import FormTag
 
 
 def run(capsys, *args):
@@ -486,10 +487,7 @@ class TestCoverage:
     def _forged(n, base, base_tag, *factors):
         from odckit import coverage
 
-        cert = coverage.ProductCertificate(
-            base, coverage.FormTag(*base_tag), tuple((q, coverage.FormTag(*tag)) for q, tag in factors)
-        )
-        return coverage.CoverageVerdict(n, cert, True)
+        return coverage.CoverageVerdict(n, coverage.ProductCertificate(base, base_tag, factors), True)
 
     @pytest.mark.parametrize(
         ("genuine", "line", "forged", "product"),
@@ -497,13 +495,13 @@ class TestCoverage:
             (  # 35's certificate re-checks 5 as a small prime; a forged tag on 5 still fails
                 35,
                 "n=35 new=no complement_prime=yes product=7[sporadic:7]*5[small-prime-1mod4:5]",
-                (15, 3, ("sporadic", 3), (5, ("square", 2))),
+                (15, 3, FormTag("sporadic", 3), (5, FormTag("square", 2))),
                 "3[sporadic:3]*5[square:2]",
             ),
             (  # 39's certificate re-checks the base 3 as sporadic; a forged tag on it still fails
                 39,
                 "n=39 new=no complement_prime=yes product=3[sporadic:3]*13[small-prime-1mod4:13]",
-                (15, 3, ("half-square-plus", 2), (5, ("small-prime-1mod4", 5))),
+                (15, 3, FormTag("half-square-plus", 2), (5, FormTag("small-prime-1mod4", 5))),
                 "3[half-square-plus:2]*5[small-prime-1mod4:5]",
             ),
         ],
@@ -525,12 +523,13 @@ class TestCoverage:
     @pytest.mark.parametrize(
         ("forged", "product"),
         [
-            ((45, 3, ("sporadic", 3), (15, ("sporadic", 15))), "3[sporadic:3]*15[sporadic:15]"),  # no prime power
-            ((3 * (2**64 + 1), 3, ("sporadic", 3), (2**64 + 1, ("square-plus", 2**32))),
+            ((45, 3, FormTag("sporadic", 3), (15, FormTag("sporadic", 15))),
+             "3[sporadic:3]*15[sporadic:15]"),  # no prime power
+            ((3 * (2**64 + 1), 3, FormTag("sporadic", 3), (2**64 + 1, FormTag("square-plus", 2**32))),
              f"3[sporadic:3]*{2**64 + 1}[square-plus:{2**32}]"),  # no q past 2**64 is checked
-            ((10, 2, ("half-square-plus", 2), (5, ("small-prime-1mod4", 5))),
+            ((10, 2, FormTag("half-square-plus", 2), (5, FormTag("small-prime-1mod4", 5))),
              "2[half-square-plus:2]*5[small-prime-1mod4:5]"),  # an even base
-            ((15, -3, ("sporadic", 3), (-5, ("small-prime-1mod4", 5))),
+            ((15, -3, FormTag("sporadic", 3), (-5, FormTag("small-prime-1mod4", 5))),
              "-3[sporadic:3]*-5[small-prime-1mod4:5]"),  # a negative base
         ],
         ids=["composite-factor", "factor-past-2**64", "even-base", "negative-base"],

@@ -22,27 +22,19 @@ from odckit.coverage import (
     FAMILY_SOPHIE_GERMAIN,
     HALF_SQUARE_PLUS,
     SMALL_PRIME_1MOD4,
+    SPORADIC,
     SQUARE,
     SQUARE_PLUS,
+    CoverageVerdict,
     FormTag,
+    NewValue,
+    ProductCertificate,
     classify,
     enumerate_eligible,
     enumerate_new_values,
     qualifies_base,
     qualifies_prime_power,
 )
-
-
-def _base_tag(a):
-    """coverage's own base verdict, as the FormTag a certificate holds."""
-    tag = coverage._base_tag(a)
-    return None if tag is None else FormTag(*tag)
-
-
-def _prime_power_tag(p, t):
-    """coverage's own verdict on p**t, as the FormTag a certificate holds."""
-    tag = coverage._prime_power_tag(p, t)
-    return None if tag is None else FormTag(*tag)
 
 
 class TestQualifiesBase:
@@ -201,6 +193,58 @@ class TestClassify:
     def test_complement_matches_primality(self):
         for n in range(3, 500, 2):
             assert classify(n).complement_prime == modnum.is_prime(2 * n + 1)
+
+
+class TestRecords:
+    """The four records are immutable named tuples: fixed fields, read-only, tuple-equal."""
+
+    TAG = FormTag(SQUARE, 3)
+    CERT = ProductCertificate(9, TAG, ((5, FormTag(SMALL_PRIME_1MOD4, 5)), (25, FormTag(SQUARE, 5))))
+
+    def test_field_order(self):
+        assert FormTag._fields == ("kind", "witness")
+        assert ProductCertificate._fields == ("base", "base_tag", "factors")
+        assert CoverageVerdict._fields == ("n", "product_cert", "complement_prime")
+        assert NewValue._fields == ("verdict", "families")
+
+    @pytest.mark.parametrize(
+        "record",
+        [TAG, CERT, CoverageVerdict(45, CERT, False), NewValue(CoverageVerdict(23, None, True), ())],
+        ids=["FormTag", "ProductCertificate", "CoverageVerdict", "NewValue"],
+    )
+    def test_fields_are_read_only(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None  # no instance dict either
+
+    def test_product_and_is_new(self):
+        assert self.CERT.product == 9 * 5 * 25
+        assert ProductCertificate(7, FormTag(SPORADIC, 7), ()).product == 7
+        verdicts = [CoverageVerdict(23, cert, prime) for cert in (None, self.CERT) for prime in (True, False)]
+        assert [v.is_new for v in verdicts] == [True, False, False, False]
+
+    def test_repr(self):
+        assert repr(self.TAG) == "FormTag(kind='square', witness=3)"
+        assert repr(enumerate_new_values(23)[-1]) == (
+            "NewValue(verdict=CoverageVerdict(n=23, product_cert=None, complement_prime=True), "
+            "families=('p7mod8', 'sophie-germain'))"
+        )
+        assert repr(classify(39).product_cert) == (
+            "ProductCertificate(base=3, base_tag=FormTag(kind='sporadic', witness=3), "
+            "factors=((13, FormTag(kind='small-prime-1mod4', witness=13)),))"
+        )
+
+    def test_asdict_in_envelope_order(self):
+        # the machine envelope prints a tag's _asdict(): kind, then witness
+        assert list(self.TAG._asdict().items()) == [("kind", SQUARE), ("witness", 3)]
+
+    def test_tuple_equality_and_unpacking(self):
+        assert self.TAG == (SQUARE, 3)
+        kind, witness = qualifies_base(9)
+        assert (kind, witness) == (SQUARE, 3)
+        assert classify(23)[1:] == (None, True)
 
 
 class TestFactorizeOnce:
@@ -365,13 +409,13 @@ class TestExponentRule:
         # reference can split it, so the candidate bases and the splits built for
         # them are compared whole, in ascending i
         probe = [0]
-        monkeypatch.setattr(coverage, "_base_tag", lambda a: ("probe", a) if a == probe[0] else None)
+        monkeypatch.setattr(coverage, "_base_tag", lambda a: FormTag("probe", a) if a == probe[0] else None)
         cases = 0
         for p in sieve_primes(10**5 - 1)[1:]:
             splits = []  # the reference's split of p**k, for k = 0, 1, ...
             e = 0
             while p**e < 2**64:
-                splits.append(reference_exponent_partition(p, e, _prime_power_tag))
+                splits.append(reference_exponent_partition(p, e, coverage._prime_power_tag))
                 want = [(p**i, parts) for i in range(e + 1) if (parts := splits[e - i]) is not None]
                 got = []
                 for i in range(e + 1):
@@ -387,7 +431,7 @@ class TestExponentRule:
 
 
 def _reference(n):
-    return reference_product_certificate(n, _base_tag, _prime_power_tag)
+    return reference_product_certificate(n, coverage._base_tag, coverage._prime_power_tag)
 
 
 def _certificate(n):

@@ -297,14 +297,17 @@ def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def _loaded_after(statement: str) -> set[str]:
-    """Modules of the package, and numpy, that a fresh interpreter holds after statement."""
+def _loaded_after(statement: str, *flags: str) -> set[str]:
+    """Modules of the package, numpy, dataclasses and inspect that a fresh interpreter,
+    started with these flags, holds after statement."""
     script = (
         "import sys, odckit\n"
         f"{statement}\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('odckit.') or m == 'numpy'))\n"
+        "print(*sorted(m for m in sys.modules\n"
+        "              if m.startswith('odckit.') or m in ('numpy', 'dataclasses', 'inspect')))\n"
     )
-    return set(_fresh_interpreter("-c", script).stdout.split())
+    # the last line, after anything statement prints
+    return set(_fresh_interpreter(*flags, "-c", script).stdout.splitlines()[-1].split())
 
 
 def test_search_and_classify_leave_numpy_unloaded():
@@ -319,3 +322,12 @@ def test_search_and_classify_leave_numpy_unloaded():
     imported = {ln.rsplit("|", 1)[1].strip() for ln in err.splitlines() if ln.startswith("import time:")}
     assert "odckit.coverage" in imported
     assert not imported & {"odckit.construction", "odckit.search", "odckit.odc", "odckit.pathcore"}, imported
+
+
+def test_coverage_loads_no_dataclasses():
+    # coverage's records are named tuples, so neither classify nor the coverage subcommand
+    # imports dataclasses, nor inspect through it; -S keeps site's own imports out
+    for statement in ("odckit.classify(23)", "odckit.cli.main(['coverage', '--n', '23'])"):
+        loaded = _loaded_after(statement, "-S")
+        assert "odckit.coverage" in loaded
+        assert not loaded & {"dataclasses", "inspect"}, (statement, loaded)
