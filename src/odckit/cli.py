@@ -23,11 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, Any
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, which type checkers take as True, without importing typing
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
+    from typing import Any
 
     from .coverage import CoverageVerdict, FormTag
     from .pathcore import VertexPath
@@ -57,8 +57,6 @@ def _finish(args: argparse.Namespace, inputs: dict[str, Any], result: Any, verif
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from . import construction, odc, pathcore
 
     # build_starter has already checked the terrace and starter properties;
@@ -83,7 +81,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         result["odc"] = rows
     if cert is not None:
         # json writes the edge tuples as arrays
-        result["witnesses"] = [asdict(cert[k]) for k in sorted(cert)]
+        result["witnesses"] = [cert[k]._asdict() for k in sorted(cert)]
 
     def lines():
         yield (f"# construct n={inst.n} root={inst.root} modulus={inst.modulus} "
@@ -142,7 +140,8 @@ def _paths_from_text(text: str, mode: str) -> list[VertexPath]:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import odc, pathcore
 
-    text = Path(args.file).read_text(encoding="utf-8")
+    with open(args.file, encoding="utf-8") as f:
+        text = f.read()
     try:
         paths = _paths_from_text(text, args.mode)
     except RecursionError:  # a RuntimeError, raised by json.loads on deep nesting
@@ -160,10 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "n": collection.n,
             "double_cover_ok": report.double_cover_ok,
             "orthogonality_ok": report.orthogonality_ok,
-            "violations": [
-                {"kind": v.kind, "subject": list(v.subject), "count": v.count}
-                for v in report.violations
-            ],
+            "violations": [v._asdict() for v in report.violations],
         }
 
         def cover_lines():

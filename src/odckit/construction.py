@@ -16,16 +16,19 @@ log table once, gives x = g**k and every inverse as a lookup, and each k's
 quantities u, i, j, its two edges, their length and their distance are
 derived and checked once.  The certificate is a read-only
 Mapping[int, WitnessPair] over the witnesses built in that walk.
+
+StarterInstance and WitnessPair are immutable named tuples, like every
+record odckit returns; neither validates its fields.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import modnum, odc, pathcore
-from .pathcore import DirectedTerrace, VertexPath
+from .pathcore import DirectedTerrace
 
 
 class NotEligibleError(ValueError):
@@ -89,22 +92,17 @@ def log_sequence(n: int, root: int | None = None) -> DirectedTerrace:
     return t
 
 
-@dataclass(frozen=True)
-class StarterInstance:
+class StarterInstance(namedtuple("StarterInstance", "n root log_table terrace profile")):
     """A constructed starter plus the modulus data behind it.
 
     log_table[y] is the discrete log of y base root mod 2n+1 for y in
-    [1, 2n] (slot 0 is a -1 sentinel).  The terrace entry at position i-1 is
-    log_table[i] reduced mod n; in particular the terrace starts at 0.
+    [1, 2n] (slot 0 is a -1 sentinel).  The terrace is a VertexPath whose
+    entry at position i-1 is log_table[i] reduced mod n, so it starts at 0.
     profile[ell - 1] is the distance between length ell's two edges, as the
     starter check scanned it (not assumed) at construction.
     """
 
-    n: int
-    root: int
-    log_table: tuple[int, ...]
-    terrace: VertexPath
-    profile: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def modulus(self) -> int:
@@ -132,13 +130,10 @@ def build_starter(n: int, root: int | None = None) -> StarterInstance:
     if not ok:
         # is_odc_starter returns no profile exactly when the terrace check fails
         raise _stage_defect(n, g, "terrace" if profile is None else "starter")
-    return StarterInstance(
-        n=n, root=g, log_table=tuple(logs), terrace=terrace, profile=profile
-    )
+    return StarterInstance(n, g, tuple(logs), terrace, profile)
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(namedtuple("WitnessPair", "k x u i j edge_i edge_j length edge_index_i edge_index_j")):
     """Constructive evidence that distance k is realised by a same-length pair.
 
     x, u, i, j are the mod-(2n+1) quantities the witness is derived from;
@@ -147,16 +142,7 @@ class WitnessPair:
     Both edges have canonical length `length` and canonical distance k.
     """
 
-    k: int
-    x: int
-    u: int
-    i: int
-    j: int
-    edge_i: tuple[int, int]
-    edge_j: tuple[int, int]
-    length: int
-    edge_index_i: int
-    edge_index_j: int
+    __slots__ = ()
 
 
 def _defect(inst: StarterInstance, k: int, msg: str) -> RuntimeError:
@@ -233,21 +219,7 @@ def _witness(inst: StarterInstance, k: int, x: int, exp: list[int]) -> WitnessPa
     dist = (a_j + b_j - a_i - b_i) * ((n + 1) // 2) % n
     if (dist if 2 * dist < n else n - dist) != k:
         raise _defect(inst, k, f"edges {(a_i, b_i)}, {(a_j, b_j)} are not at distance {k}")
-    # the frozen dataclass __init__ sets each field through object.__setattr__;
-    # filling __dict__ in field order builds the same instance in a third of the time
-    w = object.__new__(WitnessPair)
-    d = w.__dict__
-    d["k"] = k
-    d["x"] = x
-    d["u"] = u
-    d["i"] = i
-    d["j"] = j
-    d["edge_i"] = (a_i, b_i)
-    d["edge_j"] = (a_j, b_j)
-    d["length"] = ell
-    d["edge_index_i"] = pos_i - 1
-    d["edge_index_j"] = pos_j - 1
-    return w
+    return WitnessPair(k, x, u, i, j, (a_i, b_i), (a_j, b_j), ell, pos_i - 1, pos_j - 1)
 
 
 def witness_certificate(inst: StarterInstance) -> Mapping[int, WitnessPair]:

@@ -23,15 +23,17 @@ are int32 up to n = 1024 and int64 above, where they no longer fit.  It is a
 plain exhaustive count and its report is deterministic.  Only OdcCollection,
 translates and verify_odc import numpy, and only when called: the starter
 scan, all that the construction and the search use here, runs without it.
+VerificationReport and Violation are immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .pathcore import VertexPath
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, which type checkers take as True, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -139,21 +141,19 @@ def translates(path: VertexPath) -> OdcCollection:
     return OdcCollection._trusted(n, matrix)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "kind subject count")):
     """One counting violation: an edge not covered exactly twice, or a path
-    pair not sharing exactly one edge."""
+    pair not sharing exactly one edge.  kind is "edge" or "pair", and
+    subject the edge's endpoints or the two path indices.
+    """
 
-    kind: str  # "edge" or "pair"
-    subject: tuple[int, int]  # edge endpoints, or the two path indices
-    count: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    double_cover_ok: bool
-    orthogonality_ok: bool
-    violations: tuple[Violation, ...]
+class VerificationReport(namedtuple("VerificationReport", "double_cover_ok orthogonality_ok violations")):
+    """verify_odc's verdict on each property, and every violation found."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

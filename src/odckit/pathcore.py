@@ -15,14 +15,16 @@ construction rides on, and the test suite verifies the property instead of
 trusting it.
 
 Checks here recompute everything from the raw vertex data, so paths loaded
-from fixture files need no trusted metadata.
+from fixture files need no trusted metadata.  VertexPath and DirectedTerrace
+validate their input, so they are frozen dataclasses, whose
+dataclasses.replace re-validates; a named tuple's _replace would not.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import add
-from typing import Iterable
 
 from .modnum import _strict_int
 
@@ -117,7 +119,8 @@ class DirectedTerrace:
 
     def _fill(self, es: tuple[int, ...]) -> None:
         k = len(es)
-        self.__dict__.update(entries=es, sequencing=tuple([(b - a) % k for a, b in zip(es, es[1:])]))
+        object.__setattr__(self, "entries", es)
+        object.__setattr__(self, "sequencing", tuple([(b - a) % k for a, b in zip(es, es[1:])]))
 
     @property
     def order(self) -> int:

@@ -33,15 +33,20 @@ under translation and reversal is kept: the lexicographically least member
 that starts at vertex 0.  Lexicographic order is not multiplier-invariant,
 so the test runs on each mapped path itself, and every multiplier image of
 a starter is listed.
+
+SearchConfig validates its fields, so it is a frozen dataclass, whose
+dataclasses.replace re-validates; the results, SearchResult and
+ConstructionComparison, validate nothing and are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable
 
 from . import modnum, odc
 from .pathcore import VertexPath
@@ -81,13 +86,12 @@ class SearchConfig:
                 raise ValueError(f"limit must be positive, got {self.limit}")
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    starters: tuple[VertexPath, ...]
-    # vertex placements of the unquotiented tree, the fixed 0 included; a
-    # mapped subtree counts its representative's placements
-    nodes_explored: int
-    wall_time: float
+class SearchResult(namedtuple("SearchResult", "starters nodes_explored wall_time")):
+    """The starters found, as VertexPaths; nodes_explored counts the vertex
+    placements of the unquotiented tree, the fixed 0 included (a mapped
+    subtree counts its representative's placements)."""
+
+    __slots__ = ()
 
 
 def canonical_form(path: VertexPath) -> VertexPath:
@@ -300,8 +304,9 @@ def enumerate_starters(cfg: SearchConfig) -> SearchResult:
     return SearchResult(tuple(VertexPath(vs) for vs in found), nodes, time.perf_counter() - start)
 
 
-@dataclass(frozen=True)
-class ConstructionComparison:
+class ConstructionComparison(namedtuple(
+    "ConstructionComparison", "n eligible canonical_count nodes_explored hits"
+)):
     """Cross-check of constructed starters against exhaustive enumeration.
 
     hits lists, per primitive root of 2n+1, the constructed starter's
@@ -309,11 +314,7 @@ class ConstructionComparison:
     search results stand alone and hits is empty.
     """
 
-    n: int
-    eligible: bool
-    canonical_count: int
-    nodes_explored: int
-    hits: tuple[tuple[int, VertexPath, bool], ...]
+    __slots__ = ()
 
     @property
     def all_found(self) -> bool | None:

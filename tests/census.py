@@ -14,7 +14,6 @@ x86-64 host under Python 3.11, so it runs outside tier-1:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 import sys
@@ -40,7 +39,7 @@ def _oracle_mismatch(inst, cert) -> str | None:
     if inst.terrace.vertices != tuple(logs[y] % n for y in range(1, n + 1)):
         return "terrace differs from iterated powers"
     want = witness_oracle(n, g)
-    got = {k: dataclasses.astuple(w) for k, w in cert.items()}
+    got = {k: tuple(w) for k, w in cert.items()}
     if got != want:
         k = next(k for k in want if got.get(k) != want[k])
         return f"k={k}: witness {got.get(k)} differs from the oracle's {want[k]}"

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import re
 import tracemalloc
 
@@ -15,7 +14,7 @@ from helpers import (
     witness_oracle,
 )
 
-from odckit import cli, construction, coverage, modnum, odc, pathcore
+from odckit import cli, construction, coverage, modnum, odc, pathcore, search
 from odckit.construction import NotEligibleError
 
 
@@ -208,7 +207,7 @@ class TestWitnesses:
                     continue
                 inst = construction.build_starter(n, g)
                 cert = construction.witness_certificate(inst)
-                assert {k: dataclasses.astuple(w) for k, w in cert.items()} == witness_oracle(n, g)
+                assert {k: tuple(w) for k, w in cert.items()} == witness_oracle(n, g)
                 checked += 1
         assert checked == 808
 
@@ -226,7 +225,7 @@ class TestWitnesses:
         ],
     )
     def test_forced_defect_names_n_root_and_k(self, corrupt, named):
-        inst = dataclasses.replace(construction.build_starter(9, 2), **corrupt)
+        inst = construction.build_starter(9, 2)._replace(**corrupt)
         with pytest.raises(RuntimeError, match=f"n=9, root=2, {named}\\)"):
             construction.witness_certificate(inst)
 
@@ -240,22 +239,9 @@ class TestWitnesses:
         ],
     )
     def test_each_edge_is_checked_against_the_terrace(self, vertices, message):
-        inst = dataclasses.replace(
-            construction.build_starter(9, 2), terrace=pathcore.VertexPath(vertices)
-        )
+        inst = construction.build_starter(9, 2)._replace(terrace=pathcore.VertexPath(vertices))
         with pytest.raises(RuntimeError, match=r"\(n=9, root=2, " + message):
             construction.witness_certificate(inst)
-
-    def test_witness_pair_is_a_frozen_dataclass(self):
-        # witnesses are built without running the dataclass __init__
-        w = construction.witness_certificate(construction.build_starter(15, 3))[4]
-        twin = construction.WitnessPair(*(getattr(w, f.name) for f in dataclasses.fields(w)))
-        assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
-        assert dataclasses.asdict(w) == dataclasses.asdict(twin)
-        moved = dataclasses.replace(w, k=5)
-        assert moved.k == 5 and moved == dataclasses.replace(twin, k=5) and moved != w
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            w.k = 5
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_distance_check_names_the_edges(self, k):
@@ -406,3 +392,83 @@ class TestFullPipelineSmallSweep:
         for vs in starters.values():
             ok, _ = odc.is_odc_starter(pathcore.VertexPath(vs))
             assert ok
+
+
+_PATH_5 = pathcore.VertexPath((0, 1, 3, 2, 4))
+
+
+@pytest.mark.parametrize(
+    ("record", "fields", "properties", "text"),
+    [
+        (
+            construction.build_starter(5, 2),
+            ("n", "root", "log_table", "terrace", "profile"),
+            {"modulus": 11, "m": 2},
+            "StarterInstance(n=5, root=2, log_table=(-1, 0, 1, 8, 2, 4, 9, 7, 3, 6, 5), "
+            "terrace=VertexPath(vertices=(0, 1, 3, 2, 4)), profile=(2, 1))",
+        ),
+        (
+            construction.witness_certificate(construction.build_starter(9, 2))[4],
+            ("k", "x", "u", "i", "j", "edge_i", "edge_j", "length", "edge_index_i", "edge_index_j"),
+            {},
+            "WitnessPair(k=4, x=16, u=17, i=6, j=1, edge_i=(5, 6), edge_j=(0, 1), length=1, "
+            "edge_index_i=5, edge_index_j=0)",
+        ),
+        (
+            odc.Violation("pair", (0, 3), 2),
+            ("kind", "subject", "count"),
+            {},
+            "Violation(kind='pair', subject=(0, 3), count=2)",
+        ),
+        (
+            odc.VerificationReport(True, False, (odc.Violation("pair", (0, 3), 2),)),
+            ("double_cover_ok", "orthogonality_ok", "violations"),
+            {"ok": False},
+            "VerificationReport(double_cover_ok=True, orthogonality_ok=False, "
+            "violations=(Violation(kind='pair', subject=(0, 3), count=2),))",
+        ),
+        (
+            odc.verify_odc(odc.translates(_PATH_5)),
+            ("double_cover_ok", "orthogonality_ok", "violations"),
+            {"ok": True},
+            "VerificationReport(double_cover_ok=True, orthogonality_ok=True, violations=())",
+        ),
+        (
+            search.SearchResult((_PATH_5,), 49, 0.5),
+            ("starters", "nodes_explored", "wall_time"),
+            {},
+            "SearchResult(starters=(VertexPath(vertices=(0, 1, 3, 2, 4)),), nodes_explored=49, wall_time=0.5)",
+        ),
+        (
+            search.compare_with_construction(5)._replace(hits=((2, _PATH_5, True),)),
+            ("n", "eligible", "canonical_count", "nodes_explored", "hits"),
+            {"all_found": True},
+            "ConstructionComparison(n=5, eligible=True, canonical_count=4, nodes_explored=49, "
+            "hits=((2, VertexPath(vertices=(0, 1, 3, 2, 4)), True),))",
+        ),
+        (
+            search.compare_with_construction(7),
+            ("n", "eligible", "canonical_count", "nodes_explored", "hits"),
+            {"all_found": None},
+            "ConstructionComparison(n=7, eligible=False, canonical_count=0, nodes_explored=781, hits=())",
+        ),
+    ],
+    ids=["StarterInstance", "WitnessPair", "Violation", "VerificationReport", "VerificationReport-ok",
+         "SearchResult", "ConstructionComparison", "ConstructionComparison-ineligible"],
+)
+def test_returned_records_are_immutable_named_tuples(record, fields, properties, text):
+    # the records odckit returns, beyond coverage's (test_coverage.TestRecords)
+    assert type(record)._fields == fields
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert not hasattr(record, "__dict__")
+    values = tuple(getattr(record, name) for name in fields)
+    assert record == values and tuple(record) == values and type(record)(*values) == record
+    assert list(record._asdict().items()) == list(zip(fields, values))
+    moved = record._replace(**{fields[0]: "moved"})
+    assert type(moved) is type(record) and moved == ("moved", *values[1:])
+    assert {name: getattr(record, name) for name in properties} == properties
+    assert repr(record) == text

@@ -298,13 +298,16 @@ def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
 
 
 def _loaded_after(statement: str, *flags: str) -> set[str]:
-    """Modules of the package, numpy, dataclasses and inspect that a fresh interpreter,
-    started with these flags, holds after statement."""
+    """Modules of the package, numpy, dataclasses, inspect, typing and pathlib that a fresh
+    interpreter, started with these flags, loads for import odckit and statement; one that
+    site loaded first is not reported, so -S makes the check cover all six."""
     script = (
-        "import sys, odckit\n"
+        "import sys\n"
+        "held = set(sys.modules)\n"
+        "import odckit\n"
         f"{statement}\n"
-        "print(*sorted(m for m in sys.modules\n"
-        "              if m.startswith('odckit.') or m in ('numpy', 'dataclasses', 'inspect')))\n"
+        "print(*sorted(m for m in set(sys.modules) - held if m.startswith('odckit.')\n"
+        "              or m in ('numpy', 'dataclasses', 'inspect', 'typing', 'pathlib')))\n"
     )
     # the last line, after anything statement prints
     return set(_fresh_interpreter(*flags, "-c", script).stdout.splitlines()[-1].split())
@@ -326,8 +329,9 @@ def test_search_and_classify_leave_numpy_unloaded():
 
 def test_coverage_loads_no_dataclasses():
     # coverage's records are named tuples, so neither classify nor the coverage subcommand
-    # imports dataclasses, nor inspect through it; -S keeps site's own imports out
+    # imports dataclasses, nor inspect through it; nor typing or pathlib, which no module
+    # imports at run time; -S keeps site's own imports out
     for statement in ("odckit.classify(23)", "odckit.cli.main(['coverage', '--n', '23'])"):
         loaded = _loaded_after(statement, "-S")
         assert "odckit.coverage" in loaded
-        assert not loaded & {"dataclasses", "inspect"}, (statement, loaded)
+        assert not loaded & {"dataclasses", "inspect", "typing", "pathlib"}, (statement, loaded)

@@ -3,6 +3,7 @@ and the names the package resolves on first access."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -116,3 +117,19 @@ def test_dir_lists_every_public_name():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         odckit.no_such_name
+
+
+@pytest.mark.parametrize(
+    ("valid", "change", "message"),
+    [
+        (odckit.VertexPath((0, 1, 3, 2, 4)), {"vertices": (0, 1, 3, 2, 2)}, "permutation"),
+        (odckit.SearchConfig(n=9), {"n": 10}, "odd"),
+    ],
+    ids=["VertexPath", "SearchConfig"],
+)
+def test_validating_types_revalidate_on_replace(valid, change, message):
+    # why these stay frozen dataclasses: replace re-runs __post_init__, where a named
+    # tuple's _replace would build the invalid value (DirectedTerrace: test_pathcore)
+    assert dataclasses.is_dataclass(valid) and type(valid).__dataclass_params__.frozen
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(valid, **change)
