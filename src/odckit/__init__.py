@@ -23,8 +23,8 @@ _EXPORTS = {
                  "enumerate_eligible", "enumerate_new_values", "qualifies_base", "qualifies_prime_power"),
     "modnum": ("discrete_log_table", "factorize", "find_primitive_root", "is_prime",
                "is_primitive_root", "primitive_roots"),
-    "odc": ("OdcCollection", "VerificationReport", "Violation", "is_odc_starter", "translates", "verify_odc"),
-    "pathcore": ("DirectedTerrace", "VertexPath", "edge_lengths", "format_path",
+    "odc": ("OdcCollection", "VerificationReport", "Violation", "translates", "verify_odc"),
+    "pathcore": ("DirectedTerrace", "VertexPath", "edge_lengths", "format_path", "is_odc_starter",
                  "is_symmetric_directed_terrace", "is_terrace", "parse_paths", "project_to_half"),
     "search": ("ConstructionComparison", "PruneLevel", "SearchConfig", "SearchResult", "canonical_form",
                "compare_with_construction", "enumerate_starters"),

@@ -14,8 +14,9 @@ errors to 2 or 1.  Path data in text output uses the fixture format
 back to `verify`.
 
 Each subcommand imports the package modules it uses when it runs, so
-building the parser loads none of them and `coverage` never loads the
-construction, search or cover machinery.
+building the parser loads none of them, `coverage` never loads the
+construction, search or cover machinery, and `verify` loads the cover
+module, and numpy with it, only for `--mode odc`.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _paths_from_text(text: str, mode: str) -> list[VertexPath]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import odc, pathcore
+    from . import pathcore
 
     with open(args.file, encoding="utf-8") as f:
         text = f.read()
@@ -152,6 +153,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     head = f"# verify file={args.file} mode={args.mode} paths={len(paths)}"
 
     if args.mode == "odc":
+        from . import odc  # the one mode that needs the cover module, and numpy
+
         collection = odc.OdcCollection(paths)  # wrong size/mixed orders -> bad input
         report = odc.verify_odc(collection)
         result = {
@@ -181,7 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             bad.extend([ell, 0] for ell, c in enumerate(counts, 1) if c == 0)
             rows.append({"index": idx, "ok": ok, "bad_length_counts": bad})
         else:  # starter
-            ok, profile = odc.is_odc_starter(p)
+            ok, profile = pathcore.is_odc_starter(p)
             row: dict[str, Any] = {"index": idx, "ok": ok}
             if profile is not None:
                 row["distances"] = [[ell, k] for ell, k in enumerate(profile, 1)]
@@ -317,6 +320,18 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parsing
 
 
+def _int(text: str) -> int:
+    """Every integer flag's type: an optional '-' then ASCII digits.  int() alone also reads
+    '٣', '1_1', ' 9' and '+9'; those get argparse's usual invalid-int error here (exit 2)."""
+    digits = text.removeprefix("-")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odckit",
@@ -325,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a starter from discrete logs mod 2n+1")
-    p.add_argument("--n", type=int, required=True, help="odd order with 2n+1 prime")
-    p.add_argument("--root", type=int, default=None, help="primitive root of 2n+1 (default: smallest)")
+    p.add_argument("--n", type=_int, required=True, help="odd order with 2n+1 prime")
+    p.add_argument("--root", type=_int, default=None, help="primitive root of 2n+1 (default: smallest)")
     p.add_argument("--emit", choices=["starter", "odc", "witnesses", "all"], default="starter")
     p.add_argument("--format", choices=["text", "machine"], default="text")
     p.set_defaults(func=cmd_construct)
@@ -338,10 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustively enumerate starters for small n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="stop after this many starters")
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--limit", type=_int, default=None, help="stop after this many starters")
     # None stands for search.DEFAULT_CEILING, read in cmd_search so the parser imports nothing
-    p.add_argument("--ceiling", type=int, default=None,
+    p.add_argument("--ceiling", type=_int, default=None,
                    help="largest order the search will accept")
     p.add_argument("--no-canonicalize", action="store_true",
                    help="list every starter with first vertex 0, not one per class")
@@ -350,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="which criteria certify an odd order")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, default=None)
-    group.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"), default=None)
+    group.add_argument("--n", type=_int, default=None)
+    group.add_argument("--range", type=_int, nargs=2, metavar=("LO", "HI"), default=None)
     p.add_argument("--new-only", action="store_true",
                    help="only orders certified by the discrete-log route alone")
     p.add_argument("--format", choices=["text", "machine"], default="text")

@@ -27,7 +27,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from . import modnum, odc, pathcore
+from . import modnum, pathcore
 from .pathcore import DirectedTerrace
 
 
@@ -126,7 +126,7 @@ def build_starter(n: int, root: int | None = None) -> StarterInstance:
         terrace = pathcore.project_to_half(directed)
     except ValueError:
         raise _stage_defect(n, g, "symmetric") from None
-    ok, profile = odc.is_odc_starter(terrace)
+    ok, profile = pathcore.is_odc_starter(terrace)
     if not ok:
         # is_odc_starter returns no profile exactly when the terrace check fails
         raise _stage_defect(n, g, "terrace" if profile is None else "starter")
@@ -215,7 +215,7 @@ def _witness(inst: StarterInstance, k: int, x: int, exp: list[int]) -> WitnessPa
     d_j = b_j - a_j
     if (d_i if 2 * d_i < n else n - d_i) != ell or (d_j if 2 * d_j < n else n - d_j) != ell:
         raise _defect(inst, k, f"edges {(a_i, b_i)}, {(a_j, b_j)} do not share length {ell}")
-    # Translating an edge by k moves its midpoint by k, as in odc._pair_distances.
+    # Translating an edge by k moves its midpoint by k, as in pathcore._pair_distances.
     dist = (a_j + b_j - a_i - b_i) * ((n + 1) // 2) % n
     if (dist if 2 * dist < n else n - dist) != k:
         raise _defect(inst, k, f"edges {(a_i, b_i)}, {(a_j, b_j)} are not at distance {k}")

@@ -1,16 +1,11 @@
-"""Orthogonal-double-cover machinery for Hamiltonian paths on Z_n.
+"""Orthogonal double covers of K_n by translates of one Hamiltonian path.
 
 An ODC of the complete graph K_n by a collection of n paths requires two
 properties: every edge of K_n lies in exactly two member paths (double
 cover), and every unordered pair of members shares exactly one edge
-(orthogonality).  A terrace whose m same-length edge pairs realise every
-canonical distance 1..m is a starter: its n translates form an ODC.
-_pair_distances is the package's one starter scan: is_odc_starter (and so
-the construction) and the search's leaf and multiplier-image checks all
-run it, each once per path.  Its distances, indexed by length ell at
-ell - 1 as pathcore.is_terrace indexes its counts, are the package's one
-distance map.  A pair's distance is the difference of its edges'
-midpoints, the identity the construction's witnesses check too.
+(orthogonality).  The n translates of an ODC-starter form one; the starter
+scan, pathcore.is_odc_starter, lives beside the terrace check and is bound
+here too.
 
 A collection is n plus a read-only n x n int32 matrix, one path per row.
 verify_odc counts every edge occurrence and every pairwise intersection
@@ -20,66 +15,19 @@ sorted key per (edge, row) occurrence, unique because a Hamiltonian path
 holds each edge at most once, from which shared-edge counts per path pair
 are tallied with bincount, and edge counts for a violation report.  The keys
 are int32 up to n = 1024 and int64 above, where they no longer fit.  It is a
-plain exhaustive count and its report is deterministic.  Only OdcCollection,
-translates and verify_odc import numpy, and only when called: the starter
-scan, all that the construction and the search use here, runs without it.
-VerificationReport and Violation are immutable named tuples.
+plain exhaustive count and its report is deterministic.  This is the
+package's one numpy module: building, searching and checking a single path
+never load it.  VerificationReport and Violation are immutable named tuples.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from .pathcore import VertexPath
+import numpy as np
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, which type checkers take as True, without importing typing
-if TYPE_CHECKING:
-    import numpy as np
-
-
-def _pair_distances(vs: Sequence[int], n: int) -> list[int] | None:
-    """The package's one starter scan, on the raw vertices of a Hamiltonian path.
-
-    Returns the distance of each length ell's edge pair at index ell - 1, or
-    None when a length occurs thrice (not a terrace; with 2m edges and no
-    length thrice, every length occurs twice).  The path is a starter
-    exactly when the list sorts to 1..m.  Translating an edge {x, y} by k
-    moves its midpoint (x+y)/2 by k, so a pair's distance is the difference
-    of its midpoints; distinct edges of one length have distinct midpoints.
-    """
-    m = (n - 1) // 2
-    half = m + 1  # the inverse of 2 mod n
-    first = [-1] * (m + 1)  # x + y of each length's first edge
-    dist = [0] * (m + 1)
-    steps = iter(vs)
-    x = next(steps)
-    for y in steps:
-        d = (y - x) % n
-        ell = d if 2 * d < n else n - d
-        f = first[ell]
-        if f < 0:
-            first[ell] = x + y
-        elif dist[ell]:
-            return None
-        else:
-            k = (x + y - f) * half % n
-            dist[ell] = k if 2 * k < n else n - k
-        x = y
-    return dist[1:]
-
-
-def is_odc_starter(path: VertexPath) -> tuple[bool, tuple[int, ...] | None]:
-    """Starter test: a terrace whose pair distances are a bijection onto [1, m].
-
-    Returns (ok, distances), distances[ell - 1] being the canonical distance
-    between length ell's two edges.  distances is None when the path is not
-    a terrace; otherwise it comes back whether or not it is a bijection.
-    """
-    dist = _pair_distances(path.vertices, path.n)
-    if dist is None:
-        return False, None
-    return sorted(dist) == list(range(1, path.m + 1)), tuple(dist)
+from .pathcore import VertexPath, is_odc_starter  # the scan keeps its odc name too
 
 
 class OdcCollection:
@@ -92,8 +40,6 @@ class OdcCollection:
     __slots__ = ("_n", "_matrix")
 
     def __init__(self, paths: Iterable[VertexPath]):
-        import numpy as np
-
         rows = tuple(paths)
         if not rows:
             raise ValueError("collection is empty")
@@ -132,8 +78,6 @@ def translates(path: VertexPath) -> OdcCollection:
     The row ordering is part of the contract: published covers are reproduced
     row for row.
     """
-    import numpy as np
-
     n = path.n
     wrap = np.arange(2 * n, dtype=np.int32) % n  # wrap[v + t] = (v + t) mod n
     matrix = wrap.take(np.add.outer(np.arange(n), path.vertices))
@@ -180,8 +124,6 @@ def verify_odc(collection: OdcCollection) -> VerificationReport:
     multiplicity, so d == 2 puts the n(n-1) = 2 * n_edges occurrences on
     edges held at most twice: every edge is held exactly twice.
     """
-    import numpy as np
-
     n = collection.n
     n_edges = n * (n - 1) // 2
     shift = (n - 1).bit_length()

@@ -14,6 +14,16 @@ projects to a terrace for Z_n; that projection is what the discrete-log
 construction rides on, and the test suite verifies the property instead of
 trusting it.
 
+A terrace whose m same-length edge pairs realise every canonical distance
+1..m is an ODC-starter: its n translates form an orthogonal double cover
+(odc.verify_odc checks that by counting).  _pair_distances is the package's
+one starter scan: is_odc_starter (and so the construction) and the search's
+leaf and multiplier-image checks all run it, each once per path.  Its
+distances, indexed by length ell at ell - 1 as is_terrace indexes its
+counts, are the package's one distance map.  A pair's distance is the
+difference of its edges' midpoints, the identity the construction's
+witnesses check too.
+
 Checks here recompute everything from the raw vertex data, so paths loaded
 from fixture files need no trusted metadata.  VertexPath and DirectedTerrace
 validate their input, so they are frozen dataclasses, whose
@@ -22,7 +32,7 @@ dataclasses.replace re-validates; a named tuple's _replace would not.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import add
 
@@ -79,6 +89,50 @@ def is_terrace(path: VertexPath) -> tuple[bool, list[int]]:
     for ell in edge_lengths(path):
         counts[ell - 1] += 1
     return counts == [2] * path.m, counts
+
+
+def _pair_distances(vs: Sequence[int], n: int) -> list[int] | None:
+    """The package's one starter scan, on the raw vertices of a Hamiltonian path.
+
+    Returns the distance of each length ell's edge pair at index ell - 1, or
+    None when a length occurs thrice (not a terrace; with 2m edges and no
+    length thrice, every length occurs twice).  The path is a starter
+    exactly when the list sorts to 1..m.  Translating an edge {x, y} by k
+    moves its midpoint (x+y)/2 by k, so a pair's distance is the difference
+    of its midpoints; distinct edges of one length have distinct midpoints.
+    """
+    m = (n - 1) // 2
+    half = m + 1  # the inverse of 2 mod n
+    first = [-1] * (m + 1)  # x + y of each length's first edge
+    dist = [0] * (m + 1)
+    steps = iter(vs)
+    x = next(steps)
+    for y in steps:
+        d = (y - x) % n
+        ell = d if 2 * d < n else n - d
+        f = first[ell]
+        if f < 0:
+            first[ell] = x + y
+        elif dist[ell]:
+            return None
+        else:
+            k = (x + y - f) * half % n
+            dist[ell] = k if 2 * k < n else n - k
+        x = y
+    return dist[1:]
+
+
+def is_odc_starter(path: VertexPath) -> tuple[bool, tuple[int, ...] | None]:
+    """Starter test: a terrace whose pair distances are a bijection onto [1, m].
+
+    Returns (ok, distances), distances[ell - 1] being the canonical distance
+    between length ell's two edges.  distances is None when the path is not
+    a terrace; otherwise it comes back whether or not it is a bijection.
+    """
+    dist = _pair_distances(path.vertices, path.n)
+    if dist is None:
+        return False, None
+    return sorted(dist) == list(range(1, path.m + 1)), tuple(dist)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 The tree fixes vertex 0 first and extends one unused vertex at a time in
 ascending order, so results come out in a deterministic lexicographic order.
 The default cut is sound: a third occurrence of any edge length can never
-lead to a terrace.  Each full-length path goes once through odc's starter
-scan, the package's only one.
+lead to a terrace.  Each full-length path goes once through pathcore's
+starter scan, the package's only one.
 
 The kernel, _explore, passes the unused vertices down as an ascending tuple,
 so a node tries only those.  It reads edge lengths and pair distances from
@@ -48,7 +48,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
-from . import modnum, odc
+from . import modnum, pathcore
 from .pathcore import VertexPath
 
 DEFAULT_CEILING = 17
@@ -154,7 +154,7 @@ def _explore(n: int, prefix: tuple[int, ...], prune: PruneLevel, on_leaf: Callab
     The inner dfs returns the placements below its node, negated once
     on_leaf has stopped the search, so a stop unwinds without restoring
     state.  A same-length pair's distance is half the difference of its
-    endpoint sums (as in odc._pair_distances), so the DISTANCES cut keeps
+    endpoint sums (as in pathcore._pair_distances), so the DISTANCES cut keeps
     the endpoint sum of each length's first edge.  Both lookups come from
     _tables: row u of the length table is one tuple of lengths rotated by
     u, and the distance table holds two periods, so an endpoint-sum
@@ -227,7 +227,7 @@ def _walk(cfg: SearchConfig, root: tuple[int, ...]) -> tuple[int, list[tuple[int
     all_distances = list(range(1, (n - 1) // 2 + 1))
 
     def is_starter(vs: tuple[int, ...]) -> bool:
-        dist = odc._pair_distances(vs, n)
+        dist = pathcore._pair_distances(vs, n)
         return dist is not None and sorted(dist) == all_distances
 
     def canonical(vs: tuple[int, ...]) -> bool:

@@ -18,7 +18,7 @@ import hashlib
 import random
 import sys
 
-from helpers import power_table_logs, witness_oracle
+from helpers import construction_oracle_mismatch
 
 from odckit import build_starter, enumerate_eligible, witness_certificate
 
@@ -28,22 +28,6 @@ VERTICES = 5_279_497
 SHA256 = "3310e0cece8e784d546bac61a2281d175f837530691c68879eff46a4a00d755f"
 SAMPLE_SEED = 2025
 SAMPLE_SIZE = 10
-
-
-def _oracle_mismatch(inst, cert) -> str | None:
-    """What differs from the iterated-power oracles for one instance, or None."""
-    n, g = inst.n, inst.root
-    logs = power_table_logs(g, 2 * n + 1)
-    if inst.log_table[1:] != tuple(logs[y] for y in range(1, 2 * n + 1)):
-        return "log table differs from iterated powers"
-    if inst.terrace.vertices != tuple(logs[y] % n for y in range(1, n + 1)):
-        return "terrace differs from iterated powers"
-    want = witness_oracle(n, g)
-    got = {k: tuple(w) for k, w in cert.items()}
-    if got != want:
-        k = next(k for k in want if got.get(k) != want[k])
-        return f"k={k}: witness {got.get(k)} differs from the oracle's {want[k]}"
-    return None
 
 
 def main() -> int:
@@ -58,7 +42,7 @@ def main() -> int:
         terrace = inst.terrace.vertices
         digest.update(f"{n} {inst.root} {','.join(map(str, terrace))}\n".encode())
         vertices += len(terrace)
-        if n in sample and (why := _oracle_mismatch(inst, cert)) is not None:
+        if n in sample and (why := construction_oracle_mismatch(inst, cert)) is not None:
             failed.append(f"n={n}, root={inst.root}: {why}")
     got = (len(orders), vertices, digest.hexdigest())
     want = (ORDERS, VERTICES, SHA256)

@@ -108,7 +108,7 @@ def starter_by_injectivity(vertices: tuple[int, ...]) -> bool:
     the m same-length edge pairs sit at pairwise distinct distances.
 
     A terrace has exactly m same-length pairs and distances lie in [1, m], so
-    injectivity is equivalent to the bijectivity that odc.is_odc_starter
+    injectivity is equivalent to the bijectivity that pathcore.is_odc_starter
     tests.
     """
     profile = distance_profile_oracle(vertices)
@@ -204,6 +204,23 @@ def witness_oracle(n: int, g: int) -> dict[int, tuple]:
         lu = logs[u] % n
         out[k] = (k, x, u, i, j, e_i, e_j, min(lu, n - lu), where[frozenset(e_i)], where[frozenset(e_j)])
     return out
+
+
+def construction_oracle_mismatch(inst, cert) -> str | None:
+    """What differs from the iterated-power oracles for one StarterInstance and its
+    witness certificate: the log table, the terrace or a witness; None if nothing."""
+    n, g = inst.n, inst.root
+    logs = power_table_logs(g, 2 * n + 1)
+    if inst.log_table[1:] != tuple(logs[y] for y in range(1, 2 * n + 1)):
+        return "log table differs from iterated powers"
+    if inst.terrace.vertices != tuple(logs[y] % n for y in range(1, n + 1)):
+        return "terrace differs from iterated powers"
+    want = witness_oracle(n, g)
+    got = {k: tuple(w) for k, w in cert.items()}
+    if got != want:
+        k = next(k for k in want if got.get(k) != want[k])
+        return f"k={k}: witness {got.get(k)} differs from the oracle's {want[k]}"
+    return None
 
 
 def oracle_verify(rows: list[tuple[int, ...]]) -> tuple[bool, bool, tuple]:

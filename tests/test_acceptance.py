@@ -87,11 +87,17 @@ def test_criterion_5_construction_sweep_to_299():
         pairs = 0
         for n in coverage.enumerate_eligible(3, 299):
             p = 2 * n + 1
-            for g in modnum.primitive_roots(p):
+            smallest = None
+            for g in modnum.primitive_roots(p):  # ascending
                 directed = construction.log_sequence(n, g)
                 assert pathcore.is_symmetric_directed_terrace(directed)
 
                 inst = construction.build_starter(n, g)
+                # one multiplier orbit: with a = log of g base the smallest root, log_g is
+                # a^-1 times the smallest root's logs mod 2n, so the starter is too, mod n
+                smallest = smallest or inst
+                times = pow(smallest.log_table[g], -1, 2 * n)
+                assert inst.terrace.vertices == tuple(times * v % n for v in smallest.terrace.vertices)
                 ok_terrace, _ = pathcore.is_terrace(inst.terrace)
                 assert ok_terrace
                 ok_starter, profile = odc.is_odc_starter(inst.terrace)

@@ -561,3 +561,24 @@ class TestParsing:
     def test_coverage_requires_n_or_range(self, capsys):
         assert cli.main(["coverage"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["٣", "９", "1_1", " 9", "9 ", "+9"])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, value):
+        # int() reads each of these as 3, 9 or 11; every integer flag refuses them instead
+        for argv, flag in [
+            (["construct", "--n", value], "--n"),
+            (["construct", "--n", "9", "--root", value], "--root"),
+            (["search", "--n", value], "--n"),
+            (["search", "--n", "9", "--limit", value], "--limit"),
+            (["search", "--n", "9", "--ceiling", value], "--ceiling"),
+            (["coverage", "--n", value], "--n"),
+            (["coverage", "--range", "3", value], "--range"),
+        ]:
+            assert cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n"), argv
+
+    @pytest.mark.parametrize(("value", "n"), [("-9", -9), ("0009", 9), ("99", 99)])
+    def test_integer_flags_read_an_optional_minus_and_digits(self, value, n):
+        assert cli.build_parser().parse_args(["construct", "--n", value]).n == n

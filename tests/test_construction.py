@@ -142,7 +142,7 @@ class TestDefects:
         [((False, None), "terrace"), ((False, ()), "starter")],
     )
     def test_terrace_and_starter_check_failures(self, monkeypatch, result, stage):
-        monkeypatch.setattr(odc, "is_odc_starter", lambda path: result)
+        monkeypatch.setattr(pathcore, "is_odc_starter", lambda path: result)
         with pytest.raises(RuntimeError, match=rf"n=9, root=2\).*{stage} check"):
             construction.build_starter(9, 2)
 

@@ -123,7 +123,7 @@ class TestStarterScan:
     def test_scan_matches_the_oracle_up_to_order_61(self, vs):
         n = len(vs)
         want = distance_profile_oracle(vs)
-        assert odc._pair_distances(vs, n) == (None if want is None else [want[ell] for ell in range(1, n // 2 + 1)])
+        assert pathcore._pair_distances(vs, n) == (None if want is None else [want[ell] for ell in range(1, n // 2 + 1)])
 
     @given(small_paths())
     @settings(max_examples=200, deadline=None)
@@ -319,12 +319,27 @@ def test_search_and_classify_leave_numpy_unloaded():
     assert _loaded_after("odckit.classify(23)") == {"odckit.coverage", "odckit.modnum"}
     searched = _loaded_after("odckit.enumerate_starters(odckit.SearchConfig(n=9))")
     assert "odckit.search" in searched
-    assert not searched & {"odckit.construction", "odckit.coverage", "numpy"}, searched
+    assert not searched & {"odckit.construction", "odckit.coverage", "odckit.odc", "numpy"}, searched
     # the CLI as users run it: -X importtime names every module imported
     err = _fresh_interpreter("-X", "importtime", "-m", "odckit", "coverage", "--n", "23").stderr
     imported = {ln.rsplit("|", 1)[1].strip() for ln in err.splitlines() if ln.startswith("import time:")}
     assert "odckit.coverage" in imported
     assert not imported & {"odckit.construction", "odckit.search", "odckit.odc", "odckit.pathcore"}, imported
+
+
+def test_only_the_cover_loads_odc_and_numpy(odc9_file):
+    # the starter scan lives in pathcore: building, witnessing and checking one path never
+    # load the cover module, which is the package's only numpy importer
+    def package_and_numpy(statement):
+        return {m for m in _loaded_after(statement) if m.startswith("odckit.") or m == "numpy"}
+
+    built = package_and_numpy("odckit.witness_certificate(odckit.build_starter(9))")
+    assert built == {"odckit.construction", "odckit.modnum", "odckit.pathcore"}
+    cover = {"odckit.odc", "numpy"}
+    for mode in ("starter", "terrace", "odc"):
+        loaded = package_and_numpy(f"odckit.cli.main(['verify', {str(odc9_file)!r}, '--mode', {mode!r}])")
+        assert "odckit.pathcore" in loaded
+        assert loaded & cover == (cover if mode == "odc" else set()), (mode, loaded)
 
 
 def test_coverage_loads_no_dataclasses():

@@ -104,6 +104,12 @@ def test_submodules_resolve_after_a_bare_import():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_starter_scan_is_one_object_under_three_names():
+    # the scan lives in pathcore; odc binds it too, for callers of odc.is_odc_starter
+    assert odckit.is_odc_starter is odckit.pathcore.is_odc_starter is odckit.odc.is_odc_starter
+    assert odckit.is_odc_starter.__module__ == "odckit.pathcore"
+
+
 def test_star_import_binds_every_public_name():
     ns: dict = {}
     exec("from odckit import *", ns)

@@ -12,7 +12,7 @@ from helpers import reference_enumerate, starter_by_injectivity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odckit import odc
+from odckit import odc, pathcore
 from odckit.pathcore import VertexPath
 from odckit.search import (
     PruneLevel,
@@ -299,20 +299,20 @@ class TestMultiplierQuotient:
 
 
 class TestOneScanPerPath:
-    """Each emitted starter goes through odc's starter scan exactly once."""
+    """Each emitted starter goes through pathcore's starter scan exactly once."""
 
     @pytest.mark.parametrize(
         ("canonicalize", "limit"), [(True, None), (False, None), (False, 40)]
     )  # limit 40 stops inside the mapped subtree (0, 5, ...), which is then searched directly
     def test_each_emitted_starter_is_scanned_once(self, monkeypatch, canonicalize, limit):
-        scan = odc._pair_distances
+        scan = pathcore._pair_distances
         calls = Counter()
 
         def counting_scan(vs, n):
             calls[tuple(vs)] += 1
             return scan(vs, n)
 
-        monkeypatch.setattr(odc, "_pair_distances", counting_scan)
+        monkeypatch.setattr(pathcore, "_pair_distances", counting_scan)
         res = enumerate_starters(SearchConfig(n=9, canonicalize=canonicalize, limit=limit))
         assert res.starters
         assert {calls[vs] for vs in starter_tuples(res)} == {1}
@@ -320,15 +320,15 @@ class TestOneScanPerPath:
     def test_an_image_failing_the_scan_is_a_defect(self, monkeypatch):
         # searched subtrees start (0, d) with d dividing n; every other path is
         # a multiplier image, and the forced scan rejects all of them
-        scan = odc._pair_distances
-        monkeypatch.setattr(odc, "_pair_distances", lambda vs, n: scan(vs, n) if n % vs[1] == 0 else None)
+        scan = pathcore._pair_distances
+        monkeypatch.setattr(pathcore, "_pair_distances", lambda vs, n: scan(vs, n) if n % vs[1] == 0 else None)
         with pytest.raises(RuntimeError, match=r"n=9\): \(0, 2, .*the image of a starter under x -> 2\*x"):
             enumerate_starters(SearchConfig(n=9))
 
     def test_a_nested_image_failing_the_scan_is_a_defect(self, monkeypatch):
         # below (0, 3) the paths (0, 3, 4, ...) are images of (0, 3, 1, ...) under x -> 4*x
-        scan = odc._pair_distances
-        monkeypatch.setattr(odc, "_pair_distances", lambda vs, n: None if vs[:3] == (0, 3, 4) else scan(vs, n))
+        scan = pathcore._pair_distances
+        monkeypatch.setattr(pathcore, "_pair_distances", lambda vs, n: None if vs[:3] == (0, 3, 4) else scan(vs, n))
         with pytest.raises(RuntimeError, match=r"n=9\): \(0, 3, 4, .*the image of a starter under x -> 4\*x"):
             enumerate_starters(SearchConfig(n=9, canonicalize=False))
 
