@@ -1,29 +1,46 @@
 """Independent brute-force oracles shared across the test modules.
 
-Everything here recomputes results from first principles (sieves, order
-scans, exhaustive translate scans, divisor recursion, dictionary counts) so
-the library is checked against a second route, not against itself.  Nothing
-here imports odckit or numpy.
+Everything here recomputes results from first principles (order scans,
+iterated powers, exhaustive translate scans, dictionary counts) so the
+library is checked against a second route, not against itself.
+
+Five oracles come from bench/expected.py, the benchmark's plain-Python
+expectations, which is loaded here once by file path: its sieve, primality
+test, starter test, cover verifier and product criterion, bound below as
+sieve_primes, oracle_is_prime, oracle_is_starter, oracle_verify and
+oracle_product_covered.  Renaming one of those five in bench/expected.py
+breaks the test suite.  Neither file imports odckit or numpy.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from collections import Counter
-from functools import lru_cache
-from itertools import combinations
-from math import isqrt
+from pathlib import Path
+
+# under a name of its own, so that the benchmark's own `import expected` never collides with it
+_spec = importlib.util.spec_from_file_location("_bench_expected", Path(__file__).resolve().parents[1] / "bench/expected.py")
+_expected = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_expected)
+
+oracle_is_prime = _expected.is_prime
+oracle_is_starter = _expected.is_starter
+# n = base * q_1 * ... * q_r, each prime's leftover exponent split into usable powers
+oracle_product_covered = _expected.product_covered
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit by a plain sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
+    """All primes <= limit, read off bench's sieve of Eratosthenes."""
+    return [v for v, flag in enumerate(_expected.sieve(limit + 1)) if flag]
+
+
+def oracle_verify(rows: list[tuple[int, ...]]) -> tuple[bool, bool, tuple]:
+    """(double_cover_ok, orthogonality_ok, violations) for these rows, the layout of
+    odc.VerificationReport, from bench's edge and row-pair counts: violations are
+    (kind, subject, count) triples, edges before row pairs, each by subject."""
+    found = tuple(_expected.violations(rows))
+    kinds = {kind for kind, _, _ in found}
+    return "edge" not in kinds, "pair" not in kinds, found
 
 
 def multiplicative_order(g: int, p: int) -> int:
@@ -103,18 +120,6 @@ def distance_profile_oracle(vertices: tuple[int, ...]) -> dict[int, int] | None:
     return out
 
 
-def starter_by_injectivity(vertices: tuple[int, ...]) -> bool:
-    """Starter test by injectivity: every length 1..m occurs exactly twice and
-    the m same-length edge pairs sit at pairwise distinct distances.
-
-    A terrace has exactly m same-length pairs and distances lie in [1, m], so
-    injectivity is equivalent to the bijectivity that pathcore.is_odc_starter
-    tests.
-    """
-    profile = distance_profile_oracle(vertices)
-    return profile is not None and len(set(profile.values())) == len(profile)
-
-
 def reference_enumerate(
     n: int, prune: str, canonicalize: bool, limit: int | None
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -125,7 +130,7 @@ def reference_enumerate(
     holds twice) or "distances" (also skip an edge that completes a
     same-length pair at a distance another completed pair has taken).
     Unused vertices are tried in ascending order; leaves pass
-    starter_by_injectivity and, with canonicalize, must not exceed their
+    oracle_is_starter and, with canonicalize, must not exceed their
     reversal translated to start at 0.  The search stops at the limit-th
     starter.  Returns (starters, nodes), nodes counting vertex placements,
     vertex 0 included.
@@ -145,7 +150,7 @@ def reference_enumerate(
         if len(path) == n:
             vs = tuple(path)
             rev = tuple((v - vs[-1]) % n for v in reversed(vs))
-            if starter_by_injectivity(vs) and not (canonicalize and rev < vs):
+            if oracle_is_starter(vs) and not (canonicalize and rev < vs):
                 found.append(vs)
                 return limit is not None and len(found) == limit
             return False
@@ -221,99 +226,6 @@ def construction_oracle_mismatch(inst, cert) -> str | None:
         k = next(k for k in want if got.get(k) != want[k])
         return f"k={k}: witness {got.get(k)} differs from the oracle's {want[k]}"
     return None
-
-
-def oracle_verify(rows: list[tuple[int, ...]]) -> tuple[bool, bool, tuple]:
-    """Double-cover and orthogonality by dictionaries over edges and row pairs.
-
-    Returns (double_cover_ok, orthogonality_ok, violations) with violations
-    as (kind, subject, count) triples sorted by kind then subject, the layout
-    of odc.VerificationReport.
-    """
-    n = len(rows)
-    owners: dict[tuple[int, int], list[int]] = {}
-    for r, vs in enumerate(rows):
-        for x, y in zip(vs, vs[1:]):
-            owners.setdefault((min(x, y), max(x, y)), []).append(r)
-    shared: Counter[tuple[int, int]] = Counter()
-    for rs in owners.values():
-        shared.update(combinations(rs, 2))
-    everything = list(combinations(range(n), 2))
-    edges = [("edge", e, len(owners.get(e, ()))) for e in everything if len(owners.get(e, ())) != 2]
-    pairs = [("pair", q, shared[q]) for q in everything if shared[q] != 1]
-    return not edges, not pairs, tuple(edges + pairs)
-
-
-# ---------------------------------------------------------------------------
-# Product-criterion oracle: forms re-derived by scanning k, prime powers by
-# trial division, decomposability by recursion over divisors.
-
-_SPORADIC = {3, 7, 11, 15, 19, 21, 33, 57, 69, 77, 93}
-
-
-def oracle_is_prime(v: int) -> bool:
-    if v < 2:
-        return False
-    return all(v % d for d in range(2, isqrt(v) + 1))
-
-
-def oracle_form_ok(v: int) -> bool:
-    """v == (k^2+1)/2 or k^2 or k^2+1 for some k >= 1, found by scanning k."""
-    for k in range(1, isqrt(2 * v) + 2):
-        if v in (k * k, k * k + 1) or 2 * v == k * k + 1:
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def oracle_base_ok(a: int) -> bool:
-    return a in _SPORADIC or oracle_form_ok(a)
-
-
-def oracle_prime_power(q: int) -> tuple[int, int] | None:
-    """(p, e) with q == p**e for prime p, else None; by trial division."""
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-    return (q, 1) if q >= 2 else None
-
-
-@lru_cache(maxsize=None)
-def oracle_q_ok(q: int) -> bool:
-    pp = oracle_prime_power(q)
-    if pp is None or q % 4 != 1:
-        return False
-    _, e = pp
-    if e == 1 and q < 10**5:
-        return True
-    return oracle_form_ok(q)
-
-
-@lru_cache(maxsize=None)
-def oracle_cofactor_ok(b: int) -> bool:
-    """b == 1 or a product of qualifying prime powers, by divisor recursion."""
-    if b == 1:
-        return True
-    for d in range(2, b + 1):
-        if b % d == 0 and oracle_q_ok(d) and oracle_cofactor_ok(b // d):
-            return True
-    return False
-
-
-def oracle_product_covered(n: int) -> bool:
-    """Brute force over every split n = a * b with a a qualifying base."""
-    for a in range(1, n + 1):
-        if n % a:
-            continue
-        if a % 2 == 0 or not oracle_base_ok(a):
-            continue
-        if oracle_cofactor_ok(n // a):
-            return True
-    return False
 
 
 def reference_exponent_partition(p: int, e: int, tag) -> tuple | None:

@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import reference_enumerate, starter_by_injectivity
+from helpers import oracle_is_starter, reference_enumerate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,6 +154,19 @@ class TestSoundnessAndCompleteness:
         assert tuples == sorted(tuples)
 
 
+def assert_closed_under_units(starters, n, canonical):
+    """Every unit a of Z_n maps the found starters onto themselves: x -> a*x fixes
+    vertex 0 and permutes the starters of Z_n, so a complete search's output is
+    closed under it, compared by canonical form when the search canonicalised."""
+    found = set(starters)
+    for a in range(2, n):
+        if math.gcd(a, n) == 1:
+            image = {tuple(a * v % n for v in vs) for vs in found}
+            if canonical:
+                image = {_canonical_tuple(vs, n) for vs in image}
+            assert image == found, a
+
+
 def collect(leaves, stop_at=None):
     """An on_leaf that appends each leaf and stops at the stop_at-th."""
 
@@ -252,6 +265,7 @@ class TestMultiplierQuotient:
         res = enumerate_starters(SearchConfig(n=11, prune=level, canonicalize=False))
         want = reference_enumerate(11, level.value, False, None)
         assert (starter_tuples(res), res.nodes_explored) == want
+        assert_closed_under_units(starter_tuples(res), 11, canonical=False)
 
     @pytest.mark.parametrize(
         ("level", "limit"),
@@ -285,7 +299,7 @@ class TestMultiplierQuotient:
         leaves = []
         direct = _explore(15, prefix, PruneLevel.DISTANCES, collect(leaves))
         assert starters
-        assert starters == [vs for vs in leaves if starter_by_injectivity(vs)]
+        assert starters == [vs for vs in leaves if oracle_is_starter(vs)]
         assert nodes == direct
 
     def test_order_13_counts_within_budget(self):
@@ -296,6 +310,7 @@ class TestMultiplierQuotient:
         assert len(res.starters) == 11_256
         assert res.nodes_explored == 16_978_837
         assert elapsed < 12.0
+        assert_closed_under_units(starter_tuples(res), 13, canonical=True)
 
 
 class TestOneScanPerPath:
