@@ -60,6 +60,9 @@ def _finish(args: argparse.Namespace, inputs: dict[str, Any], result: Any, verif
 def cmd_construct(args: argparse.Namespace) -> int:
     from . import construction, odc, pathcore
 
+    if args.n > odc.MAX_ORDER:
+        construction.eligibility_modulus(args.n)  # an ineligible order keeps its own message
+        raise ValueError(f"n must be at most {odc.MAX_ORDER} so that its cover fits in memory, got {args.n}")
     # build_starter has already checked the terrace and starter properties;
     # a failure there raises RuntimeError, so only the cover is left to verify.
     inst = construction.build_starter(args.n, args.root)

@@ -7,7 +7,7 @@ cover), and every unordered pair of members shares exactly one edge
 scan, pathcore.is_odc_starter, lives beside the terrace check and is bound
 here too.
 
-A collection is n plus a read-only n x n int32 matrix, one path per row.
+A collection is one read-only n x n int32 matrix, one path per row.
 verify_odc counts every edge occurrence and every pairwise intersection
 directly from the vertex data; nothing is inferred from how a collection was
 produced.  Every input, valid or not, goes through one counting kernel: one
@@ -29,15 +29,22 @@ import numpy as np
 
 from .pathcore import VertexPath, is_odc_starter  # the scan keeps its odc name too
 
+# The largest order `odckit construct` takes.  Building and verifying a cover
+# peaked at 232 and 442 MB for n = 2,003 and 3,003 (Python 3.11, numpy 2.4,
+# x86-64): 42-51 B a matrix cell over a 29 MB interpreter.  At 48 B a cell a
+# 2 GiB budget holds (2 GiB - 29 MB) / 48 B = 44.1 M cells, n = 6,641, rounded
+# down here.  translates and verify_odc themselves take any order.
+MAX_ORDER = 6_600
+
 
 class OdcCollection:
-    """A candidate ODC: n plus a read-only n x n int32 matrix, one path per row.
+    """A candidate ODC: a read-only n x n int32 matrix, one path per row.
 
     Rows are validated as Hamiltonian paths at construction; the matrix is
-    frozen afterwards.
+    frozen afterwards and is the collection's one field.
     """
 
-    __slots__ = ("_n", "_matrix")
+    __slots__ = ("_matrix",)
 
     def __init__(self, paths: Iterable[VertexPath]):
         rows = tuple(paths)
@@ -48,23 +55,20 @@ class OdcCollection:
             raise ValueError("collection mixes path orders")
         if len(rows) != n:
             raise ValueError(f"need exactly {n} paths of order {n}, got {len(rows)}")
-        matrix = np.array([p.vertices for p in rows], dtype=np.int32)
-        matrix.flags.writeable = False
-        self._n = n
-        self._matrix = matrix
+        self._matrix = np.array([p.vertices for p in rows], dtype=np.int32)
+        self._matrix.flags.writeable = False
 
     @classmethod
-    def _trusted(cls, n: int, mat: np.ndarray) -> "OdcCollection":
+    def _trusted(cls, mat: np.ndarray) -> "OdcCollection":
         # rows already known to be Hamiltonian paths; skips the per-row check
         obj = object.__new__(cls)
         mat.flags.writeable = False
-        obj._n = n
         obj._matrix = mat
         return obj
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._matrix)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -79,10 +83,10 @@ def translates(path: VertexPath) -> OdcCollection:
     row for row.
     """
     n = path.n
-    wrap = np.arange(2 * n, dtype=np.int32) % n  # wrap[v + t] = (v + t) mod n
-    matrix = wrap.take(np.add.outer(np.arange(n), path.vertices))
+    matrix = np.add.outer(np.arange(n, dtype=np.int32), np.array(path.vertices, dtype=np.int32))
+    matrix %= n  # in place: v + t <= 2n - 2 fits int32 wherever the n x n matrix fits in memory
     # translating a permutation of Z_n by a constant yields a permutation
-    return OdcCollection._trusted(n, matrix)
+    return OdcCollection._trusted(matrix)
 
 
 class Violation(namedtuple("Violation", "kind subject count")):

@@ -9,15 +9,18 @@ from the implementations they replaced.  Each check is named:
   of stdout;
 - construction: n = 100,001 under a seeded primitive root of 200,003 other
   than the smallest, against the iterated-power oracles of tests/helpers.py;
+- cover: `odckit construct --n 3003 --emit odc`, the line count and sha256
+  of stdout, the largest cover the pins print;
 - workloads: `bench/run.py` on its sweep, search and coverage workloads,
   each output checked by bench/expected.py.
 
     PYTHONPATH=src:tests python tests/pins.py [CHECK ...]
 
-runs the named checks, or all five, in that order.  It prints one line per
+runs the named checks, or all six, in that order.  It prints one line per
 check that passes and one per pin that fails, naming it, and exits 1 if any
 failed.  Each command-line pin's wall time is printed with it, and appended
-to the file named by GITHUB_STEP_SUMMARY when that is set.  Every check
+to the file named by GITHUB_STEP_SUMMARY when that is set, next to the
+command's own peak RSS; both are reported, never gated.  Every check
 runs to the end; together they take several minutes, so they run outside
 tier-1.
 """
@@ -45,8 +48,14 @@ def _cli(argv: list[str], lines: int, sha256: str, nodes: int | None = None) -> 
     command = " ".join(["odckit", *argv])
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
-        err = subprocess.run([sys.executable, "-m", "odckit", *argv], stdout=out, stderr=subprocess.PIPE,
-                             env=env, cwd=ROOT, text=True).stderr
+        proc = subprocess.Popen([sys.executable, "-m", "odckit", *argv], stdout=out, stderr=subprocess.PIPE,
+                                env=env, cwd=ROOT, text=True)
+        with proc.stderr:
+            err = proc.stderr.read()
+        # wait4 reaps the child with its own resource usage, which subprocess drops;
+        # the return code tells Popen that the child is already reaped
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
         elapsed = time.perf_counter() - start
         out.seek(0)
         digest = hashlib.sha256()
@@ -54,10 +63,11 @@ def _cli(argv: list[str], lines: int, sha256: str, nodes: int | None = None) -> 
         for block in iter(lambda: out.read(1 << 20), b""):
             digest.update(block)
             got_lines += block.count(b"\n")
-    print(f"{command}: {elapsed:.3f} s")
+    report = f"{command}: {elapsed:.3f} s, peak RSS {usage.ru_maxrss / 1024:.0f} MB"  # Linux counts KiB
+    print(report)
     if summary := os.environ.get("GITHUB_STEP_SUMMARY"):
         with open(summary, "a", encoding="utf-8") as f:
-            print(f"{command}: {elapsed:.3f} s", file=f)
+            print(report, file=f)
     got = (got_lines, digest.hexdigest())
     if got != (lines, sha256) or (nodes is not None and f" nodes={nodes} " not in err):
         want = f"want {lines} lines, sha256 {sha256}" + ("" if nodes is None else f", nodes={nodes}")
@@ -108,6 +118,11 @@ def construction() -> Iterator[str | None]:
     yield why and f"n={n}, root={g}: {why}"
 
 
+def cover() -> Iterator[str | None]:
+    yield _cli(["construct", "--n", "3003", "--emit", "odc"], 3007,
+               "d0d42e0b3cad5231981e7e58815945c34f6c5d926d7d3975c01078c2423dcc6c")
+
+
 def workloads() -> Iterator[str | None]:
     for w in ("sweep", "search", "coverage"):
         run = subprocess.run([sys.executable, "bench/run.py", "--workload", w, "--seed", "1", "--seconds", "3",
@@ -121,7 +136,7 @@ def workloads() -> Iterator[str | None]:
         yield None if ok else f"full-size {w} workload: {last or run.stderr.strip()}"
 
 
-CHECKS = {f.__name__: f for f in (order15, order13, coverage, construction, workloads)}
+CHECKS = {f.__name__: f for f in (order15, order13, coverage, construction, cover, workloads)}
 
 
 def main(names: list[str]) -> int:

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from odckit import cli
+from odckit import cli, construction, odc
 from odckit.coverage import FormTag
 
 
@@ -50,6 +55,37 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--n", str((1 << 63) + 1))
         assert code == 2
         assert err == f"error: n must be below 2**63 so that 2n+1 fits in 64 bits, got {(1 << 63) + 1}\n"
+
+    def test_order_above_the_bound_exits_before_building(self):
+        # as users run it: a fresh interpreter, refused before any n x n array is made
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "odckit", "construct", "--n", "100001"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: n must be at most {odc.MAX_ORDER} so that its cover fits in memory, got 100001\n"
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+    def test_first_eligible_order_above_the_bound(self, capsys):
+        n = odc.MAX_ORDER + 1
+        while True:
+            try:
+                construction.eligibility_modulus(n)
+                break
+            except construction.NotEligibleError:
+                n += 1
+        code, out, err = run(capsys, "construct", "--n", str(n))
+        assert code == 2 and out == ""
+        assert str(odc.MAX_ORDER) in err and str(n) in err
+
+    def test_the_bound_itself_is_accepted(self, capsys, monkeypatch):
+        # 15 and 21 are eligible (31 and 43 are prime), 17 and 19 are not
+        monkeypatch.setattr(odc, "MAX_ORDER", 15)
+        assert run(capsys, "construct", "--n", "15")[0] == 0
+        code, _, err = run(capsys, "construct", "--n", "21")
+        assert code == 2
+        assert err == "error: n must be at most 15 so that its cover fits in memory, got 21\n"
 
     def test_bad_root(self, capsys):
         code, _, err = run(capsys, "construct", "--n", "9", "--root", "4")

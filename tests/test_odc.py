@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -154,6 +155,19 @@ class TestTranslates:
         coll = odc.translates(STARTER_9)
         assert coll.matrix.tolist() == [list(p.vertices) for p in rows]
 
+    def test_peak_is_the_int32_matrix(self):
+        # one int32 n x n sum, reduced mod n in place: 4 bytes a cell, with no
+        # lookup table and no int64 scratch
+        n = 1019
+        path = construction.build_starter(n).terrace
+        tracemalloc.start()
+        try:
+            odc.translates(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n) < 6, f"translates peaked at {peak / (n * n):.2f} bytes a cell"
+
 
 class TestOdcCollection:
     def test_wrong_count_rejected(self):
@@ -178,6 +192,11 @@ class TestOdcCollection:
         for coll in (odc.translates(STARTER_9), OdcCollection(rows)):
             assert coll.matrix.dtype == np.int32
             assert not coll.matrix.flags.writeable
+
+    def test_the_matrix_is_the_one_field(self):
+        coll = odc.translates(STARTER_9)
+        assert OdcCollection.__slots__ == ("_matrix",)
+        assert coll.n == 9 == len(coll.matrix)
 
     def test_rows_are_the_translates(self):
         coll = odc.translates(STARTER_5)
@@ -273,7 +292,8 @@ class TestVerifyAgainstOracle:
         # up to n = 1024; 1019 and 1031 are the eligible orders either side
         assert ((n * n) << (n - 1).bit_length() < 2**31) == (n <= 1024)
         covers = perturbed_covers(n, random.Random(n))
-        for name in ("cover", "swapped"):
+        # duplicated holds an edge three times, so the offset loop reaches d = 3
+        for name in ("cover", "swapped", "duplicated"):
             rows = covers[name]
             report = odc.verify_odc(OdcCollection([VertexPath(r) for r in rows]))
             assert report_triple(report) == oracle_verify(rows), (n, name)
