@@ -57,12 +57,22 @@ def _finish(args: argparse.Namespace, inputs: dict[str, Any], result: Any, verif
 # ---------------------------------------------------------------- construct
 
 
+def _check_cover_fits(n: int) -> None:
+    """Refuse (exit 2) an order above odc.MAX_ORDER, before any n x n array is made."""
+    from . import odc
+
+    if n > odc.MAX_ORDER:
+        raise ValueError(f"n must be at most {odc.MAX_ORDER} so that its cover fits in memory, got {n}")
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     from . import construction, odc, pathcore
 
-    if args.n > odc.MAX_ORDER:
+    try:
+        _check_cover_fits(args.n)
+    except ValueError:
         construction.eligibility_modulus(args.n)  # an ineligible order keeps its own message
-        raise ValueError(f"n must be at most {odc.MAX_ORDER} so that its cover fits in memory, got {args.n}")
+        raise
     # build_starter has already checked the terrace and starter properties;
     # a failure there raises RuntimeError, so only the cover is left to verify.
     inst = construction.build_starter(args.n, args.root)
@@ -158,6 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.mode == "odc":
         from . import odc  # the one mode that needs the cover module, and numpy
 
+        _check_cover_fits(paths[0].n)
         collection = odc.OdcCollection(paths)  # wrong size/mixed orders -> bad input
         report = odc.verify_odc(collection)
         result = {

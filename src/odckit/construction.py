@@ -74,10 +74,9 @@ def _log_terrace(n: int, root: int | None) -> tuple[int, list[int], DirectedTerr
     return g, logs, DirectedTerrace._trusted(tuple(logs[1:]))
 
 
-def _stage_defect(n: int, root: int, stage: str) -> RuntimeError:
-    return RuntimeError(
-        f"internal defect (n={n}, root={root}): the log sequence fails the {stage} check"
-    )
+def _defect(n: int, root: int, msg: str, k: int | None = None) -> RuntimeError:
+    where = f"n={n}, root={root}" if k is None else f"n={n}, root={root}, k={k}"
+    return RuntimeError(f"internal defect ({where}): {msg}")
 
 
 def log_sequence(n: int, root: int | None = None) -> DirectedTerrace:
@@ -88,7 +87,7 @@ def log_sequence(n: int, root: int | None = None) -> DirectedTerrace:
     """
     g, _, t = _log_terrace(n, root)
     if not pathcore.is_symmetric_directed_terrace(t):
-        raise _stage_defect(n, g, "symmetric")
+        raise _defect(n, g, "the log sequence fails the symmetric check")
     return t
 
 
@@ -125,11 +124,12 @@ def build_starter(n: int, root: int | None = None) -> StarterInstance:
     try:
         terrace = pathcore.project_to_half(directed)
     except ValueError:
-        raise _stage_defect(n, g, "symmetric") from None
+        raise _defect(n, g, "the log sequence fails the symmetric check") from None
     ok, profile = pathcore.is_odc_starter(terrace)
     if not ok:
         # is_odc_starter returns no profile exactly when the terrace check fails
-        raise _stage_defect(n, g, "terrace" if profile is None else "starter")
+        stage = "terrace" if profile is None else "starter"
+        raise _defect(n, g, f"the log sequence fails the {stage} check")
     return StarterInstance(n, g, tuple(logs), terrace, profile)
 
 
@@ -145,12 +145,6 @@ class WitnessPair(namedtuple("WitnessPair", "k x u i j edge_i edge_j length edge
     __slots__ = ()
 
 
-def _defect(inst: StarterInstance, k: int, msg: str) -> RuntimeError:
-    return RuntimeError(
-        f"internal defect (n={inst.n}, root={inst.root}, k={k}): {msg}"
-    )
-
-
 def _antilog(inst: StarterInstance) -> list[int]:
     """exp[e] = root**e mod p for e in [0, 2n), read off the log table."""
     logs = inst.log_table
@@ -160,87 +154,76 @@ def _antilog(inst: StarterInstance) -> list[int]:
     return exp
 
 
-def _witness(inst: StarterInstance, k: int, x: int, exp: list[int]) -> WitnessPair:
-    """The witness for distance k from x = root**k mod p, every property re-checked.
+def witness_certificate(inst: StarterInstance) -> Mapping[int, WitnessPair]:
+    """Witnesses for every distance k in 1..m, each re-checked and cross-checked against the scan.
 
-    In Z_p, u = (1-x)/(1+x), i = 1/(u-1) and j = x*i; the pairs (i, i+1)
-    and (j, j+1) project to terrace edges of equal length exactly k apart.
-    A failed check is a defect.  The inverse of y is root**(2n - log y),
-    which is exp[-log y] by Python's negative indexing (exp[0] = 1 for y = 1).
-    The edges are checked as endpoint pairs; the returned WitnessPair's
-    edge tuples hold the terrace's own vertex ints.
+    In Z_p, with x = root**k, u = (1-x)/(1+x), i = 1/(u-1) and j = x*i; the
+    pairs (i, i+1) and (j, j+1) project to terrace edges of equal length
+    exactly k apart.  The antilog table is derived once; x and every inverse
+    are read from it.  The inverse of y is root**(2n - log y), which is
+    exp[-log y] by Python's negative indexing (exp[0] = 1 for y = 1).  The
+    edges are checked as endpoint pairs; each WitnessPair's edge tuples hold
+    the terrace's own vertex ints.  The scanned profile must give each
+    witness's length the distance k.  That makes k -> length injective on
+    terrace lengths, so the witnessed lengths are exactly 1..m.  A failed
+    check is a defect naming n, root and k.  The result is a read-only
+    mapping k -> WitnessPair over k = 1..m, ascending.
     """
-    n = inst.n
+    n, g, logs, profile = inst.n, inst.root, inst.log_table, inst.profile
+    vs = inst.terrace.vertices
     two_n = 2 * n
     p = two_n + 1
-    logs = inst.log_table
-    u = (1 - x) * exp[-logs[1 + x]] % p  # x = -1 needs k = n, excluded by k <= m
-    i = exp[-logs[u - 1]]  # u = 1 needs x = 0, which is no power of the root
-    j = x * i % p
-    # Pairs (i, i+1) and (2n-i, 2n+1-i) name the same terrace edge, because
-    # logs of y and -y agree mod n; canonicalise to the stored position.
-    # An index in {0, n, 2n} has no position; it is rejected before logs[i + 1] is read.
-    pos_i = i if i < n else two_n - i
-    pos_j = j if j < n else two_n - j
-    if not 1 <= pos_i < n:
-        raise _defect(inst, k, f"witness index i={i} names no terrace edge")
-    if not 1 <= pos_j < n:
-        raise _defect(inst, k, f"witness index j={j} names no terrace edge")
-
-    # Each edge's endpoints, sorted, must be the terrace's at its position;
-    # the witness then holds the terrace's own ints.
-    vs = inst.terrace.vertices
-    a_i, b_i = vs[pos_i - 1], vs[pos_i]
-    if a_i > b_i:
-        a_i, b_i = b_i, a_i
-    lo, hi = logs[i] % n, logs[i + 1] % n
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo != a_i or hi != b_i:
-        raise _defect(inst, k, f"edge {(lo, hi)} is not the terrace edge at position {pos_i}")
-    a_j, b_j = vs[pos_j - 1], vs[pos_j]
-    if a_j > b_j:
-        a_j, b_j = b_j, a_j
-    lo, hi = logs[j] % n, logs[j + 1] % n
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo != a_j or hi != b_j:
-        raise _defect(inst, k, f"edge {(lo, hi)} is not the terrace edge at position {pos_j}")
-
-    # Both edges are now literal terrace edges, sorted, so 0 < b - a < n.
-    ell = logs[u] % n
-    if 2 * ell > n:
-        ell = n - ell
-    d_i = b_i - a_i
-    d_j = b_j - a_j
-    if (d_i if 2 * d_i < n else n - d_i) != ell or (d_j if 2 * d_j < n else n - d_j) != ell:
-        raise _defect(inst, k, f"edges {(a_i, b_i)}, {(a_j, b_j)} do not share length {ell}")
-    # Translating an edge by k moves its midpoint by k, as in pathcore._pair_distances.
-    dist = (a_j + b_j - a_i - b_i) * ((n + 1) // 2) % n
-    if (dist if 2 * dist < n else n - dist) != k:
-        raise _defect(inst, k, f"edges {(a_i, b_i)}, {(a_j, b_j)} are not at distance {k}")
-    return WitnessPair(k, x, u, i, j, (a_i, b_i), (a_j, b_j), ell, pos_i - 1, pos_j - 1)
-
-
-def witness_certificate(inst: StarterInstance) -> Mapping[int, WitnessPair]:
-    """Witnesses for every distance k in 1..m, cross-checked against the scan.
-
-    The antilog table is derived once; x = root**k and every inverse are
-    read from it.  The scanned profile must give each witness's length the
-    distance k, or it is a defect.  That makes k -> length injective on
-    terrace lengths, so the witnessed lengths are exactly 1..m.  The result
-    is a read-only mapping k -> WitnessPair over k = 1..m, ascending.
-    """
+    half = (n + 1) // 2  # the inverse of 2 mod n
     exp = _antilog(inst)
-    profile = inst.profile
     cert = {}
     for k in range(1, inst.m + 1):
-        w = _witness(inst, k, exp[k], exp)
-        ell = w.length
+        x = exp[k]
+        u = (1 - x) * exp[-logs[1 + x]] % p  # x = -1 needs k = n, excluded by k <= m
+        i = exp[-logs[u - 1]]  # u = 1 needs x = 0, which is no power of the root
+        j = x * i % p
+        # Pairs (i, i+1) and (2n-i, 2n+1-i) name the same terrace edge, because
+        # logs of y and -y agree mod n; canonicalise to the stored position.
+        # An index in {0, n, 2n} has no position; it is rejected before logs[i + 1] is read.
+        pos_i = i if i < n else two_n - i
+        pos_j = j if j < n else two_n - j
+        if not 1 <= pos_i < n:
+            raise _defect(n, g, f"witness index i={i} names no terrace edge", k)
+        if not 1 <= pos_j < n:
+            raise _defect(n, g, f"witness index j={j} names no terrace edge", k)
+
+        # Each edge's endpoints, sorted, must be the terrace's at its position;
+        # the witness then holds the terrace's own ints.
+        a_i, b_i = vs[pos_i - 1], vs[pos_i]
+        if a_i > b_i:
+            a_i, b_i = b_i, a_i
+        lo, hi = logs[i] % n, logs[i + 1] % n
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo != a_i or hi != b_i:
+            raise _defect(n, g, f"edge {(lo, hi)} is not the terrace edge at position {pos_i}", k)
+        a_j, b_j = vs[pos_j - 1], vs[pos_j]
+        if a_j > b_j:
+            a_j, b_j = b_j, a_j
+        lo, hi = logs[j] % n, logs[j + 1] % n
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo != a_j or hi != b_j:
+            raise _defect(n, g, f"edge {(lo, hi)} is not the terrace edge at position {pos_j}", k)
+
+        # Both edges are now literal terrace edges, sorted, so 0 < b - a < n.
+        ell = logs[u] % n
+        if 2 * ell > n:
+            ell = n - ell
+        d_i = b_i - a_i
+        d_j = b_j - a_j
+        if (d_i if 2 * d_i < n else n - d_i) != ell or (d_j if 2 * d_j < n else n - d_j) != ell:
+            raise _defect(n, g, f"edges {(a_i, b_i)}, {(a_j, b_j)} do not share length {ell}", k)
+        # Translating an edge by k moves its midpoint by k, as in pathcore._pair_distances.
+        dist = (a_j + b_j - a_i - b_i) * half % n
+        if (dist if 2 * dist < n else n - dist) != k:
+            raise _defect(n, g, f"edges {(a_i, b_i)}, {(a_j, b_j)} are not at distance {k}", k)
         got = profile[ell - 1 : ell]  # empty if the profile lacks the length
         if got != (k,):
-            raise _defect(
-                inst, k, f"scan assigns distance {got[0] if got else None} to length {ell}"
-            )
-        cert[k] = w
+            raise _defect(n, g, f"scan assigns distance {got[0] if got else None} to length {ell}", k)
+        cert[k] = WitnessPair(k, x, u, i, j, (a_i, b_i), (a_j, b_j), ell, pos_i - 1, pos_j - 1)
     return MappingProxyType(cert)

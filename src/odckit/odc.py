@@ -29,11 +29,15 @@ import numpy as np
 
 from .pathcore import VertexPath, is_odc_starter  # the scan keeps its odc name too
 
-# The largest order `odckit construct` takes.  Building and verifying a cover
+# The largest order `odckit construct` and `verify --mode odc` take.  Building
+# and verifying a cover
 # peaked at 232 and 442 MB for n = 2,003 and 3,003 (Python 3.11, numpy 2.4,
 # x86-64): 42-51 B a matrix cell over a 29 MB interpreter.  At 48 B a cell a
 # 2 GiB budget holds (2 GiB - 29 MB) / 48 B = 44.1 M cells, n = 6,641, rounded
-# down here.  translates and verify_odc themselves take any order.
+# down here.  That budget holds for text output only: `--format machine` with
+# the cover (`--emit odc` or `all`) peaked at 513 and 1,138 MB at the same two
+# orders, about 120 B a cell, so about 5.3 GB at n = 6,600.  translates and
+# verify_odc themselves take any order.
 MAX_ORDER = 6_600
 
 

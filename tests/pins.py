@@ -12,11 +12,18 @@ from the implementations they replaced.  Each check is named:
 - cover: `odckit construct --n 3003 --emit odc`, the line count and sha256
   of stdout, the largest cover the pins print;
 - workloads: `bench/run.py` on its sweep, search and coverage workloads,
-  each output checked by bench/expected.py.
+  each output checked by bench/expected.py;
+- census: every eligible order n <= 10**4, in enumerate_eligible's order,
+  built under its smallest primitive root and witnessed (both re-run their
+  checks and raise on a defect), against the number of orders, the total of
+  their terrace vertices and the sha256 of the UTF-8 stream of lines
+  "n root v_0,v_1,...,v_{n-1}\\n"; a seeded sample of orders is checked
+  against the iterated-power oracles of tests/helpers.py: the log table, the
+  terrace and every witness.
 
     PYTHONPATH=src:tests python tests/pins.py [CHECK ...]
 
-runs the named checks, or all six, in that order.  It prints one line per
+runs the named checks, or all seven, in that order.  It prints one line per
 check that passes and one per pin that fails, naming it, and exits 1 if any
 failed.  Each command-line pin's wall time is printed with it, and appended
 to the file named by GITHUB_STEP_SUMMARY when that is set, next to the
@@ -136,7 +143,30 @@ def workloads() -> Iterator[str | None]:
         yield None if ok else f"full-size {w} workload: {last or run.stderr.strip()}"
 
 
-CHECKS = {f.__name__: f for f in (order15, order13, coverage, construction, cover, workloads)}
+def census() -> Iterator[str | None]:
+    from helpers import construction_oracle_mismatch
+
+    from odckit import build_starter, enumerate_eligible, witness_certificate
+
+    orders = enumerate_eligible(3, 10**4)
+    sample = set(random.Random(2025).sample(orders, 10))
+    digest = hashlib.sha256()
+    vertices = 0
+    for n in orders:
+        inst = build_starter(n)
+        cert = witness_certificate(inst)
+        terrace = inst.terrace.vertices
+        digest.update(f"{n} {inst.root} {','.join(map(str, terrace))}\n".encode())
+        vertices += len(terrace)
+        if n in sample:
+            why = construction_oracle_mismatch(inst, cert)
+            yield why and f"n={n}, root={inst.root}: {why}"
+    got = (len(orders), vertices, digest.hexdigest())
+    want = (1_135, 5_279_497, "3310e0cece8e784d546bac61a2281d175f837530691c68879eff46a4a00d755f")
+    yield None if got == want else f"orders up to 10**4: got {got}, want {want}"
+
+
+CHECKS = {f.__name__: f for f in (order15, order13, coverage, construction, cover, workloads, census)}
 
 
 def main(names: list[str]) -> int:

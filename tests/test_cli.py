@@ -148,6 +148,17 @@ class TestVerify:
         assert "double_cover: ok" in out
         assert "orthogonality: ok" in out
 
+    def test_order_above_the_bound_is_refused(self, capsys, monkeypatch, tmp_path):
+        # the bound construct enforces, read from the first row before the matrix is built
+        monkeypatch.setattr(odc, "MAX_ORDER", 15)
+        for n, want in ((15, 0), (21, 2)):
+            f = tmp_path / f"odc{n}.txt"
+            rows = odc.translates(construction.build_starter(n).terrace).matrix.tolist()
+            f.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+            code, _, err = run(capsys, "verify", str(f), "--mode", "odc")
+            assert code == want
+        assert err == "error: n must be at most 15 so that its cover fits in memory, got 21\n"
+
     def test_bad_terrace_reports_counts(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("0,1,2,3,4\n")

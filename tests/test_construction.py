@@ -243,49 +243,55 @@ class TestWitnesses:
         with pytest.raises(RuntimeError, match=r"\(n=9, root=2, " + message):
             construction.witness_certificate(inst)
 
-    @pytest.mark.parametrize("k", [1, 3, 4])
-    def test_distance_check_names_the_edges(self, k):
-        # x = root**2 derives the true distance-2 pair; claimed as any other
-        # k, that pair passes every check but the distance one
-        inst = construction.build_starter(9, 2)
+    @staticmethod
+    def _forged_certificate(monkeypatch, inst, slot, value):
+        # _antilog is the certificate's one table; forging one slot of it
+        # changes every read of that slot, as x or as an inverse
+        exp = construction._antilog(inst)
+        exp[slot] = value
+        monkeypatch.setattr(construction, "_antilog", lambda _: exp)
+        return construction.witness_certificate(inst)
+
+    @pytest.mark.parametrize(("root", "k"), [(2, 1), (2, 3), (10, 4)])
+    def test_distance_check_names_the_edges(self, monkeypatch, root, k):
+        # x = root**2 forged into exp[k] derives the true distance-2 pair at k;
+        # claimed as k, that pair passes every check but the distance one.  No
+        # earlier k reads exp[k]; at root 2 k = 2 reads exp[4] as i, so k = 4
+        # is checked under root 10
+        inst = construction.build_starter(9, root)
         w = construction.witness_certificate(inst)[2]
-        msg = f"n=9, root=2, k={k}): edges {w.edge_i}, {w.edge_j} are not at distance {k}"
+        msg = f"n=9, root={root}, k={k}): edges {w.edge_i}, {w.edge_j} are not at distance {k}"
         with pytest.raises(RuntimeError, match=f"^internal defect \\({re.escape(msg)}$"):
-            construction._witness(inst, k, w.x, construction._antilog(inst))
+            self._forged_certificate(monkeypatch, inst, k, w.x)
 
     @pytest.mark.parametrize("forged", [9, 18, 0])
-    def test_index_without_a_terrace_position_is_a_defect(self, forged):
+    def test_index_without_a_terrace_position_is_a_defect(self, monkeypatch, forged):
         # at k = 1 the inverse of u - 1 is read from exp[2], so i = forged:
         # n and 2n are the degenerate indices, 0 only a bad table yields.
         # The check runs before logs[i + 1], which is out of range at i = 2n.
         inst = construction.build_starter(9, 2)
-        exp = construction._antilog(inst)
-        exp[2] = forged
         with pytest.raises(RuntimeError, match=r"n=9, root=2, k=1\): witness index i="):
-            construction._witness(inst, 1, exp[1], exp)
+            self._forged_certificate(monkeypatch, inst, 2, forged)
 
     @pytest.mark.parametrize(("k", "slot", "forged", "j"), [(1, 2, 14, 9), (2, 4, 14, 18)])
-    def test_j_index_without_a_terrace_position_is_a_defect(self, k, slot, forged, j):
+    def test_j_index_without_a_terrace_position_is_a_defect(self, monkeypatch, k, slot, forged, j):
         # i is read from exp[slot] (exp[2] at k = 1, exp[4] at k = 2); i = 14 has
         # a terrace position, but j = x * i is n or 2n.  The check runs before
         # the terrace is read at position n, which is out of range at j = n.
+        # k = 1 reads exp[1], exp[5] and exp[2], so exp[4] is first read at k = 2.
         inst = construction.build_starter(9, 2)
-        exp = construction._antilog(inst)
-        exp[slot] = forged
         with pytest.raises(RuntimeError, match=rf"n=9, root=2, k={k}\): witness index j={j} "):
-            construction._witness(inst, k, exp[k], exp)
+            self._forged_certificate(monkeypatch, inst, slot, forged)
 
     @pytest.mark.parametrize(("forged", "edge_i", "edge_j"), [(8, (3, 8), (1, 4)), (5, (5, 7), (3, 8))])
-    def test_one_edge_of_the_wrong_length_is_a_defect(self, forged, edge_i, edge_j):
+    def test_one_edge_of_the_wrong_length_is_a_defect(self, monkeypatch, forged, edge_i, edge_j):
         # at k = 1, u = 6 gives length 4 and i is read from exp[2]; forged, i names
         # a terrace edge of length 4 and j = 2 * i one of another length (i = 8),
         # or the other way round (i = 5).  The true x alone cannot do this.
         inst = construction.build_starter(9, 2)
-        exp = construction._antilog(inst)
-        exp[2] = forged
         msg = f"n=9, root=2, k=1): edges {edge_i}, {edge_j} do not share length 4"
         with pytest.raises(RuntimeError, match=f"^internal defect \\({re.escape(msg)}$"):
-            construction._witness(inst, 1, exp[1], exp)
+            self._forged_certificate(monkeypatch, inst, 2, forged)
 
 
 class TestCertificateMapping:
