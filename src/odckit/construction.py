@@ -18,7 +18,8 @@ derived and checked once.  The certificate is a read-only
 Mapping[int, WitnessPair] over the witnesses built in that walk.
 
 StarterInstance and WitnessPair are immutable named tuples, like every
-record odckit returns; neither validates its fields.
+record odckit returns; neither validates its fields.  witness_certificate
+builds each WitnessPair with _make, not through the generated __new__.
 """
 
 from __future__ import annotations
@@ -225,5 +226,5 @@ def witness_certificate(inst: StarterInstance) -> Mapping[int, WitnessPair]:
         got = profile[ell - 1 : ell]  # empty if the profile lacks the length
         if got != (k,):
             raise _defect(n, g, f"scan assigns distance {got[0] if got else None} to length {ell}", k)
-        cert[k] = WitnessPair(k, x, u, i, j, (a_i, b_i), (a_j, b_j), ell, pos_i - 1, pos_j - 1)
+        cert[k] = WitnessPair._make((k, x, u, i, j, (a_i, b_i), (a_j, b_j), ell, pos_i - 1, pos_j - 1))
     return MappingProxyType(cert)

@@ -14,10 +14,12 @@ produced.  Every input, valid or not, goes through one counting kernel: one
 sorted key per (edge, row) occurrence, unique because a Hamiltonian path
 holds each edge at most once, from which shared-edge counts per path pair
 are tallied with bincount, and edge counts for a violation report.  The keys
-are int32 up to n = 1024 and int64 above, where they no longer fit.  It is a
-plain exhaustive count and its report is deterministic.  This is the
-package's one numpy module: building, searching and checking a single path
-never load it.  VerificationReport and Violation are immutable named tuples.
+come from one pass over the flattened matrix, and a row seam's key sorts
+last and is cut off.  They are int32 up to n = 1024 and int64 above, where
+they no longer fit.  It is a plain exhaustive count and its report is
+deterministic.  This is the package's one numpy module: building, searching
+and checking a single path never load it.  VerificationReport and Violation
+are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ import numpy as np
 
 from .pathcore import VertexPath, is_odc_starter  # the scan keeps its odc name too
 
-# The largest order `odckit construct` and `verify --mode odc` take.  Building
-# and verifying a cover
-# peaked at 232 and 442 MB for n = 2,003 and 3,003 (Python 3.11, numpy 2.4,
-# x86-64): 42-51 B a matrix cell over a 29 MB interpreter.  At 48 B a cell a
-# 2 GiB budget holds (2 GiB - 29 MB) / 48 B = 44.1 M cells, n = 6,641, rounded
-# down here.  That budget holds for text output only: `--format machine` with
-# the cover (`--emit odc` or `all`) peaked at 513 and 1,138 MB at the same two
+# The largest order `odckit construct` and `verify --mode odc` take.  Building,
+# verifying and printing a cover as text peaked at 183 and 387 MB (VmHWM) for
+# n = 2,003 and 3,003 (Python 3.11, numpy 2.4, x86-64): 38-40 B a matrix cell
+# over a 29 MB interpreter.  The bound keeps the margin of 48 B a cell: a 2 GiB
+# budget holds (2 GiB - 29 MB) / 48 B = 44.1 M cells, n = 6,641, rounded down
+# here.  That budget holds for text output only: `--format machine` with the
+# cover (`--emit odc` or `all`) peaked at 513 and 1,139 MB at the same two
 # orders, about 120 B a cell, so about 5.3 GB at n = 6,600.  translates and
 # verify_odc themselves take any order.
 MAX_ORDER = 6_600
@@ -84,11 +86,16 @@ def translates(path: VertexPath) -> OdcCollection:
     """All n translates of a path, row t being the path plus t, for t = 0..n-1.
 
     The row ordering is part of the contract: published covers are reproduced
-    row for row.
+    row for row.  Each cell is t - n + v, plus n where the sign bit is set:
+    v + t mod n with no division, a block of rows at a time so that the
+    scratch stays small beside the int32 matrix.
     """
     n = path.n
-    matrix = np.add.outer(np.arange(n, dtype=np.int32), np.array(path.vertices, dtype=np.int32))
-    matrix %= n  # in place: v + t <= 2n - 2 fits int32 wherever the n x n matrix fits in memory
+    matrix = np.add.outer(np.arange(-n, 0, dtype=np.int32), np.array(path.vertices, dtype=np.int32))
+    rows = max(1, (1 << 16) // n)  # about 65,536 cells a block
+    for start in range(0, n, rows):
+        block = matrix[start : start + rows]
+        block += (block >> 31) & n
     # translating a permutation of Z_n by a constant yields a permutation
     return OdcCollection._trusted(matrix)
 
@@ -121,41 +128,56 @@ def verify_odc(collection: OdcCollection) -> VerificationReport:
     pairs, sorted by kind then subject.
 
     Each (edge, row) occurrence becomes the key edge_id << b | row, with b
-    the bit length of n - 1, so shifts and masks split it again.  Keys are
-    int32 while every key fits, (n * n) << b < 2**31, that is for n <= 1024,
-    and int64 above; the kernel is the same for both.  A Hamiltonian path
-    holds an edge at most once, so the keys are unique and sorting them
-    groups every edge's owners in ascending row order.  Owners d places
-    apart within a group form one path pair per edge they share; the offsets
-    d = 1, 2, ... run up to the largest edge multiplicity minus one, so a
-    valid cover needs a single offset.  The loop stops at d equal to that
-    multiplicity, so d == 2 puts the n(n-1) = 2 * n_edges occurrences on
-    edges held at most twice: every edge is held exactly twice.
+    the bit length of n - 1, so shifts and masks split it again.  The keys
+    come from one pass over the flattened matrix; the pair across each row
+    seam gets the seam key (n * n) << b instead, which sorts after every
+    real key and is cut off after the sort.  Keys are int32 while every key
+    fits, (n * n) << b < 2**31, that is for n <= 1024, and int64 above; the
+    kernel is the same for both.  A Hamiltonian path holds an edge at most
+    once, so the keys are unique and sorting them groups every edge's owners
+    in ascending row order.  Owners d places apart within a group form one
+    path pair per edge they share; offset d's equal neighbours are offset
+    d - 1's narrowed by offset 1's.  The offsets d = 1, 2, ... run up to the
+    largest edge multiplicity minus one, so a valid cover needs a single
+    offset.  The loop stops at d equal to that multiplicity, so d == 2 puts
+    the n(n-1) = 2 * n_edges occurrences on edges held at most twice: every
+    edge is held exactly twice.
     """
     n = collection.n
     n_edges = n * (n - 1) // 2
     shift = (n - 1).bit_length()
     key_type = np.int32 if (n * n) << shift < 2**31 else np.int64
 
-    a = collection.matrix[:, :-1]
-    b = collection.matrix[:, 1:]
-    keys = np.minimum(a, b).astype(key_type, copy=False)  # a fresh array: the ops below work in place
-    keys *= n
-    keys += np.maximum(a, b)
-    keys <<= shift
+    # one key per adjacent pair of the flattened matrix's cells; slot (t, n - 1)
+    # holds the pair across the seam after row t, or nothing after the last row
+    cells = collection.matrix.ravel()
+    keys = np.empty((n, n), dtype=key_type)
+    flat = keys.reshape(-1)
+    head = flat[:-1]
+    np.minimum(cells[:-1], cells[1:], out=head)
+    head *= n - 1
+    head += cells[:-1]
+    head += cells[1:]  # min * (n - 1) + a + b = min * n + max: the edge id
+    head <<= shift
     keys |= np.arange(n, dtype=key_type)[:, None]
-    keys = keys.ravel()
-    keys.sort()
-    edge = keys >> shift
-    owner = keys & ((1 << shift) - 1)
+    keys[:, -1] = (n * n) << shift  # seam keys sort after every real one
+    flat.sort()
+    edge = flat[: 2 * n_edges]  # the n seam keys cut off
+    owner = edge & ((1 << shift) - 1)
+    edge >>= shift
 
-    pair_counts = np.zeros(n * n, dtype=np.int64)
-    d = 1
+    # n(n-1) occurrences of n(n-1)/2 edges put some edge twice: offset 1 always hits
+    same = edge[1:] == edge[:-1]
+    hit = np.flatnonzero(same)
+    pair_counts = np.bincount(owner[hit] * n + owner[1:][hit], minlength=n * n)
+    run = same
+    d = 2
     while True:
-        hit = np.flatnonzero(edge[d:] == edge[:-d])
+        run = run[:-1] & same[d - 1 :]  # run[i]: edge[i] to edge[i + d] are one edge
+        hit = np.flatnonzero(run)
         if not hit.size:
             break
-        pair_counts += np.bincount(owner[hit] * n + owner[hit + d], minlength=n * n)
+        pair_counts += np.bincount(owner[hit] * n + owner[d:][hit], minlength=n * n)
         d += 1
 
     double_ok = d == 2

@@ -27,7 +27,10 @@ witnesses check too.
 Checks here recompute everything from the raw vertex data, so paths loaded
 from fixture files need no trusted metadata.  VertexPath and DirectedTerrace
 validate their input, so they are frozen dataclasses, whose
-dataclasses.replace re-validates; a named tuple's _replace would not.
+dataclasses.replace re-validates; a named tuple's _replace would not.  Their
+private _trusted builders skip the checks for input already proved: the log
+table's repeat check proves the construction's logs, the symmetric check
+proves project_to_half's result, and the search's kernel proves its starters.
 """
 
 from __future__ import annotations
@@ -61,6 +64,17 @@ class VertexPath:
             raise ValueError(f"path order must be odd and >= 3, got {n}")
         if set(vs) != set(range(n)):
             raise ValueError(f"vertices must be a permutation of 0..{n - 1}")
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...]) -> VertexPath:
+        """The path of vertices without the constructor's checks.
+
+        The caller must already have proved vertices a tuple of plain ints
+        forming a permutation of 0..n-1 with n odd and at least 3.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "vertices", vertices)
+        return obj
 
     @property
     def n(self) -> int:
@@ -208,13 +222,18 @@ def is_symmetric_directed_terrace(t: DirectedTerrace) -> bool:
 def project_to_half(t: DirectedTerrace) -> VertexPath:
     """First n entries of a symmetric directed terrace for Z_{2n}, reduced mod n.
 
-    Raises unless the symmetric-directed-terrace check passes.  The result is
-    a terrace for Z_n; the suite verifies that instead of trusting it here.
+    Raises unless the symmetric-directed-terrace check passes and n is odd.
+    The symmetry forces a_{2n+1-i} = a_i + n, as the differences between
+    them are the centre n and mirror pairs that cancel (Ollis, EJC DS10), so
+    the first half is a permutation mod n and is built through
+    VertexPath._trusted.  The suite verifies that it is a terrace for Z_n.
     """
     if not is_symmetric_directed_terrace(t):
         raise ValueError("not a symmetric directed terrace")
     n = t.order // 2
-    return VertexPath(tuple([e % n for e in t.entries[:n]]))
+    if n % 2 == 0:
+        raise ValueError(f"path order must be odd and >= 3, got {n}")
+    return VertexPath._trusted(tuple([e % n for e in t.entries[:n]]))
 
 
 def parse_paths(text: str) -> list[VertexPath]:

@@ -37,6 +37,8 @@ a starter is listed.
 SearchConfig validates its fields, so it is a frozen dataclass, whose
 dataclasses.replace re-validates; the results, SearchResult and
 ConstructionComparison, validate nothing and are immutable named tuples.
+The starters are built through VertexPath._trusted: the kernel's free set
+makes every leaf a permutation of Z_n, and unit multiples keep it one.
 """
 
 from __future__ import annotations
@@ -301,7 +303,7 @@ def enumerate_starters(cfg: SearchConfig) -> SearchResult:
     """
     start = time.perf_counter()
     nodes, found = _walk(cfg, (0,))
-    return SearchResult(tuple(VertexPath(vs) for vs in found), nodes, time.perf_counter() - start)
+    return SearchResult(tuple(VertexPath._trusted(vs) for vs in found), nodes, time.perf_counter() - start)
 
 
 class ConstructionComparison(namedtuple(

@@ -48,15 +48,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# Runs odckit as `python -m odckit` does, and at exit writes the interpreter's own
+# peak RSS, VmHWM in kB, to the file descriptor given as the first argument; it
+# writes nothing where /proc is missing.  exec resets VmHWM, so the figure is the
+# command's alone.
+_LAUNCHER = """\
+import atexit, os, runpy, sys
+fd = int(sys.argv.pop(1))
+def report():
+    try:
+        with open("/proc/self/status", "rb") as f:
+            os.write(fd, next(line.split()[1] for line in f if line.startswith(b"VmHWM:")))
+    except (OSError, StopIteration):
+        pass
+atexit.register(report)
+runpy.run_module("odckit", run_name="__main__", alter_sys=True)
+"""
+
+
 def _cli(argv: list[str], lines: int, sha256: str, nodes: int | None = None) -> str | None:
     """Run `python -m odckit argv`; None if stdout has this many lines and this sha256
     and, given nodes, the stderr summary reports that node count; else what differs."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     command = " ".join(["odckit", *argv])
-    with tempfile.TemporaryFile() as out:
+    peak_r, peak_w = os.pipe()
+    with tempfile.TemporaryFile() as out, open(peak_r, "rb") as peak_pipe:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "odckit", *argv], stdout=out, stderr=subprocess.PIPE,
-                                env=env, cwd=ROOT, text=True)
+        try:
+            proc = subprocess.Popen([sys.executable, "-c", _LAUNCHER, str(peak_w), *argv], stdout=out,
+                                    stderr=subprocess.PIPE, env=env, cwd=ROOT, text=True, pass_fds=(peak_w,))
+        finally:
+            os.close(peak_w)  # the child holds the only write end, so the read below ends at its exit
         with proc.stderr:
             err = proc.stderr.read()
         # wait4 reaps the child with its own resource usage, which subprocess drops;
@@ -64,13 +86,19 @@ def _cli(argv: list[str], lines: int, sha256: str, nodes: int | None = None) -> 
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         elapsed = time.perf_counter() - start
+        peak_kb = peak_pipe.read()
         out.seek(0)
         digest = hashlib.sha256()
         got_lines = 0
         for block in iter(lambda: out.read(1 << 20), b""):
             digest.update(block)
             got_lines += block.count(b"\n")
-    report = f"{command}: {elapsed:.3f} s, peak RSS {usage.ru_maxrss / 1024:.0f} MB"  # Linux counts KiB
+    if peak_kb:
+        peak = f"peak RSS {int(peak_kb) / 1024:.0f} MB"
+    else:
+        # wait4's ru_maxrss (KiB on Linux) also counts the RSS this process had when it forked
+        peak = f"peak RSS {usage.ru_maxrss / 1024:.0f} MB (no /proc: wait4's figure, which includes this process)"
+    report = f"{command}: {elapsed:.3f} s, {peak}"
     print(report)
     if summary := os.environ.get("GITHUB_STEP_SUMMARY"):
         with open(summary, "a", encoding="utf-8") as f:

@@ -249,20 +249,34 @@ class TestVerifyOdc:
         assert a == b
 
 
+def starter_cover(n: int) -> list[tuple[int, ...]]:
+    """The rows of the translates of n's discrete-log starter."""
+    return [tuple(row) for row in odc.translates(construction.build_starter(n).terrace).matrix.tolist()]
+
+
+def with_swap(rows: list[tuple[int, ...]], r: int, a: int, b: int) -> list[tuple[int, ...]]:
+    """rows with positions a and b of row r swapped."""
+    row = list(rows[r])
+    row[a], row[b] = row[b], row[a]
+    return rows[:r] + [tuple(row)] + rows[r + 1 :]
+
+
 def perturbed_covers(n: int, rng: random.Random) -> dict[str, list[tuple[int, ...]]]:
-    """The starter's cover for n and four broken or rearranged variants."""
-    rows = [tuple(row) for row in odc.translates(construction.build_starter(n).terrace).matrix.tolist()]
+    """The starter's cover for n and six broken or rearranged variants.  The
+    seam swaps change the edge at a row's first or last cell, whose neighbour
+    in verify_odc's flattened matrix is the next or previous row's."""
+    rows = starter_cover(n)
     r = rng.randrange(n)
-    swapped = list(rows[r])
-    a, b = rng.sample(range(n), 2)
-    swapped[a], swapped[b] = swapped[b], swapped[a]
+    swapped = with_swap(rows, r, *rng.sample(range(n), 2))
     duplicated = list(rows)
     duplicated[r] = rows[(r + 1 + rng.randrange(n - 1)) % n]
     reversed_row = list(rows)
     reversed_row[r] = rows[r][::-1]
     return {
         "cover": rows,
-        "swapped": rows[:r] + [tuple(swapped)] + rows[r + 1 :],
+        "swapped": swapped,
+        "seam_first": with_swap(rows, r, 0, 1),
+        "seam_last": with_swap(rows, r, n - 2, n - 1),
         "duplicated": duplicated,
         "reversed": reversed_row,
         "identical": [rows[r]] * n,
@@ -308,6 +322,87 @@ class TestVerifyAgainstOracle:
         # every one of the 45,150 edges and 45,150 row pairs is a violation
         assert len(report.violations) == 90_300
         assert elapsed < 3.0, f"verify_odc took {elapsed:.2f}s"
+
+    def test_peak_at_1019(self):
+        # int32 keys, one bincount as the pair counts and no n x n zero-fill:
+        # about 27 B a cell, against 38 with a zero-filled count array, and
+        # under the 48 that MAX_ORDER is sized at
+        n = 1019
+        coll = odc.translates(construction.build_starter(n).terrace)
+        tracemalloc.start()
+        try:
+            assert odc.verify_odc(coll).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n) < 32, f"verify_odc peaked at {peak / (n * n):.2f} bytes a cell"
+
+
+def verify_rows(rows) -> odc.VerificationReport:
+    return odc.verify_odc(OdcCollection([VertexPath(tuple(row)) for row in rows]))
+
+
+def assert_relations(rows: list[tuple[int, ...]], sigma: list[int], pi: list[int], flips: list[bool]) -> None:
+    """The three relations between verify_odc's reports that need no oracle:
+    relabelling vertices by sigma maps each edge violation to its sigma-image
+    and keeps the pair violations; moving row i to row pi[i] maps each pair
+    violation by pi and keeps the edge violations; reversing the flipped rows
+    keeps the whole report."""
+    base = verify_rows(rows)
+    edges = [v for v in base.violations if v.kind == "edge"]
+    pairs = [v for v in base.violations if v.kind == "pair"]
+
+    def image(violations, f):
+        return [v._replace(subject=tuple(sorted(map(f, v.subject)))) for v in violations]
+
+    relabelled = verify_rows([[sigma[v] for v in row] for row in rows])
+    assert relabelled == base._replace(violations=tuple(sorted(image(edges, sigma.__getitem__) + pairs)))
+    moved = [()] * len(rows)
+    for i, row in enumerate(rows):
+        moved[pi[i]] = row
+    assert verify_rows(moved) == base._replace(violations=tuple(sorted(edges + image(pairs, pi.__getitem__))))
+    assert verify_rows([row[::-1] if flip else row for row, flip in zip(rows, flips)]) == base
+
+
+@st.composite
+def broken_covers(draw):
+    """A starter's cover at a small order with one row swapped (a seam swap
+    among them), duplicated, or redrawn, or with every row one row; and a
+    vertex relabelling, a row permutation and a set of rows to reverse."""
+    n = draw(st.sampled_from([3, 5, 9, 11, 15, 23]))
+    rows = starter_cover(n)
+    r = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["swap", "duplicate", "identical", "redraw"]))
+    if kind == "swap":
+        a, b = draw(st.sampled_from([(0, 1), (n - 2, n - 1)]) | st.permutations(range(n)).map(lambda p: p[:2]))
+        rows = with_swap(rows, r, a, b)
+    elif kind == "duplicate":
+        rows[r] = rows[(r + draw(st.integers(1, n - 1))) % n]
+    elif kind == "identical":
+        rows = [rows[r]] * n
+    else:
+        rows[r] = tuple(draw(st.permutations(range(n))))
+    ns = st.permutations(range(n))
+    return rows, draw(ns), draw(ns), draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+class TestMetamorphicRelations:
+    @given(broken_covers())
+    @settings(max_examples=150, deadline=None)
+    def test_relations_on_small_broken_covers(self, case):
+        assert_relations(*case)
+
+    @pytest.mark.parametrize("n", [1019, 1031])
+    def test_relations_at_both_key_widths(self, n):
+        # one row duplicated, so an edge is held thrice, and two seam swaps
+        rng = random.Random(n)
+        r, s, q = rng.sample(range(n), 3)
+        rows = starter_cover(n)
+        rows[r] = rows[s]
+        rows = with_swap(with_swap(rows, q, 0, 1), s, n - 2, n - 1)
+        sigma, pi = rng.sample(range(n), n), rng.sample(range(n), n)
+        flips = [rng.random() < 0.5 for _ in range(n)]
+        assert_relations(rows, sigma, pi, flips)
 
 
 def _fresh_interpreter(*args: str, path: Path = Path(odc.__file__).parents[1]) -> subprocess.CompletedProcess:

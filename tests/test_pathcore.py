@@ -158,6 +158,23 @@ class TestDirectedTerrace:
         assert not pathcore.is_symmetric_directed_terrace(t)
 
 
+def directed_terraces(order: int) -> list[tuple[int, ...]]:
+    """Every arrangement of 0..order-1 from 0 whose order - 1 differences are distinct."""
+    found = []
+
+    def extend(path, used):
+        if len(path) == order:
+            found.append(tuple(path))
+            return
+        for v in range(order):
+            d = (v - path[-1]) % order
+            if v not in path and d not in used:
+                extend(path + [v], used | {d})
+
+    extend([0], set())
+    return found
+
+
 class TestSymmetricCheckAgainstOracle:
     """is_symmetric_directed_terrace and the sequencing against the plain
     definition in helpers.symmetric_directed_terrace_oracle."""
@@ -201,18 +218,7 @@ class TestSymmetricCheckAgainstOracle:
 
     def test_every_directed_terrace_of_order_10(self):
         # all nine differences distinct, so only the centre and mirror tests decide
-        found = []
-
-        def extend(path, used):
-            if len(path) == 10:
-                found.append(tuple(path))
-                return
-            for v in range(10):
-                d = (v - path[-1]) % 10
-                if v not in path and d not in used:
-                    extend(path + [v], used | {d})
-
-        extend([0], set())
+        found = directed_terraces(10)
         assert len(found) == 288
         seen = self.agree(found)
         assert seen[True] and seen[False]
@@ -229,6 +235,30 @@ class TestProjection:
     def test_projection_is_terrace(self):
         ok, _ = pathcore.is_terrace(pathcore.project_to_half(DIRECTED_10))
         assert ok
+
+    @staticmethod
+    def symmetric(order: int) -> list[DirectedTerrace]:
+        terraces = [DirectedTerrace(es) for es in directed_terraces(order)]
+        return [t for t in terraces if pathcore.is_symmetric_directed_terrace(t)]
+
+    @pytest.mark.parametrize(("order", "count"), [(6, 4), (10, 48)])
+    def test_every_symmetric_terrace_of_odd_half_projects_to_a_permutation(self, order, count):
+        # project_to_half builds its path through VertexPath._trusted; the
+        # symmetry a_{2n+1-i} = a_i + n is what makes it a permutation
+        terraces = self.symmetric(order)
+        assert len(terraces) == count
+        n = order // 2
+        for t in terraces:
+            path = pathcore.project_to_half(t)
+            assert sorted(path.vertices) == list(range(n)), t.entries
+            assert path == VertexPath(tuple(e % n for e in t.entries[:n]))
+
+    def test_every_symmetric_terrace_of_order_8_is_refused_naming_the_order(self):
+        terraces = self.symmetric(8)
+        assert len(terraces) == 8
+        for t in terraces:
+            with pytest.raises(ValueError, match=r"^path order must be odd and >= 3, got 4$"):
+                pathcore.project_to_half(t)
 
 
 class TestFixtureFormat:

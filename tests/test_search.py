@@ -113,6 +113,15 @@ class TestSmallOrders:
 
 
 class TestSoundnessAndCompleteness:
+    @pytest.mark.parametrize("canonicalize", [True, False])
+    def test_trusted_starters_equal_validated_paths(self, canonicalize):
+        # enumerate_starters builds its paths through VertexPath._trusted
+        for n in (3, 5, 7, 9, 11):
+            res = enumerate_starters(SearchConfig(n=n, canonicalize=canonicalize, prune=PruneLevel.DISTANCES))
+            for p in res.starters:
+                assert type(p) is VertexPath and set(map(type, p.vertices)) == {int}
+                assert p == VertexPath(p.vertices)
+
     def test_every_output_reverifies(self):
         for n in (3, 5, 9):
             res = enumerate_starters(SearchConfig(n=n, canonicalize=False))
