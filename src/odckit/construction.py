@@ -1,11 +1,12 @@
 """Discrete-logarithm construction of terraces and ODC-starters on Z_n.
 
 For odd n with p = 2n+1 prime, take a primitive root g of p and list the
-discrete logs of 1, 2, ..., 2n.  That sequence is a symmetric directed
-terrace for Z_{2n}; its first half reduced mod n is a terrace for Z_n, and
-in fact an ODC-starter, so its translates cover K_n orthogonally.  Both
-facts are re-checked at runtime instead of being trusted: a failure raises
-RuntimeError, because it would be a defect rather than bad input.
+discrete logs of 1, 2, ..., 2n, held as one tuple.  That sequence is a
+symmetric directed terrace for Z_{2n}; its first half reduced mod n is a
+terrace for Z_n, and in fact an ODC-starter, so its translates cover K_n
+orthogonally.  Both facts are re-checked at runtime instead of being
+trusted: a failure raises RuntimeError, because it would be a defect
+rather than bad input.
 
 The witness machinery makes the starter property constructive.  For every
 canonical distance k in 1..m it derives, in Z_p, the pair of consecutive
@@ -53,14 +54,15 @@ def eligibility_modulus(n: int) -> int:
     return p
 
 
-def _log_terrace(n: int, root: int | None) -> tuple[int, list[int], DirectedTerrace]:
+def _log_terrace(n: int, root: int | None) -> tuple[int, tuple[int, ...], DirectedTerrace]:
     """Eligibility, root, log table and the directed terrace of logs.
 
     eligibility_modulus is the one primality test of p; the modnum cores
     called after it skip their own.  The log table's repeat check is the one
     test of an explicit root, and the one proof that the logs are a
-    permutation, so the terrace is built without a second one.  Whether it
-    is a symmetric directed terrace is left to the caller's check.
+    permutation, so the terrace is built without a second one.  The table
+    is one tuple, and the terrace a slice of it.  Whether the terrace is a
+    symmetric directed terrace is left to the caller's check.
     """
     p = eligibility_modulus(n)
     if root is None:
@@ -68,11 +70,11 @@ def _log_terrace(n: int, root: int | None) -> tuple[int, list[int], DirectedTerr
     else:
         g = modnum._strict_int(root, "root") % p
     try:
-        logs = modnum._discrete_log_table(g, p)
+        logs = tuple(modnum._discrete_log_table(g, p))
     except ValueError:
         raise ValueError(f"{root} is not a primitive root of {p}") from None
     # the repeat check has proved logs[1:] a permutation of 0..2n-1
-    return g, logs, DirectedTerrace._trusted(tuple(logs[1:]))
+    return g, logs, DirectedTerrace._trusted(logs[1:])
 
 
 def _defect(n: int, root: int, msg: str, k: int | None = None) -> RuntimeError:
@@ -131,7 +133,7 @@ def build_starter(n: int, root: int | None = None) -> StarterInstance:
         # is_odc_starter returns no profile exactly when the terrace check fails
         stage = "terrace" if profile is None else "starter"
         raise _defect(n, g, f"the log sequence fails the {stage} check")
-    return StarterInstance(n, g, tuple(logs), terrace, profile)
+    return StarterInstance(n, g, logs, terrace, profile)
 
 
 class WitnessPair(namedtuple("WitnessPair", "k x u i j edge_i edge_j length edge_index_i edge_index_j")):
@@ -192,24 +194,20 @@ def witness_certificate(inst: StarterInstance) -> Mapping[int, WitnessPair]:
         if not 1 <= pos_j < n:
             raise _defect(n, g, f"witness index j={j} names no terrace edge", k)
 
-        # Each edge's endpoints, sorted, must be the terrace's at its position;
-        # the witness then holds the terrace's own ints.
+        # Each edge's endpoints must be the terrace's at its position, in either
+        # orientation; the witness then holds the terrace's own ints, sorted.
         a_i, b_i = vs[pos_i - 1], vs[pos_i]
         if a_i > b_i:
             a_i, b_i = b_i, a_i
         lo, hi = logs[i] % n, logs[i + 1] % n
-        if lo > hi:
-            lo, hi = hi, lo
-        if lo != a_i or hi != b_i:
-            raise _defect(n, g, f"edge {(lo, hi)} is not the terrace edge at position {pos_i}", k)
+        if (lo != a_i or hi != b_i) and (lo != b_i or hi != a_i):
+            raise _defect(n, g, f"edge {tuple(sorted((lo, hi)))} is not the terrace edge at position {pos_i}", k)
         a_j, b_j = vs[pos_j - 1], vs[pos_j]
         if a_j > b_j:
             a_j, b_j = b_j, a_j
         lo, hi = logs[j] % n, logs[j + 1] % n
-        if lo > hi:
-            lo, hi = hi, lo
-        if lo != a_j or hi != b_j:
-            raise _defect(n, g, f"edge {(lo, hi)} is not the terrace edge at position {pos_j}", k)
+        if (lo != a_j or hi != b_j) and (lo != b_j or hi != a_j):
+            raise _defect(n, g, f"edge {tuple(sorted((lo, hi)))} is not the terrace edge at position {pos_j}", k)
 
         # Both edges are now literal terrace edges, sorted, so 0 < b - a < n.
         ell = logs[u] % n

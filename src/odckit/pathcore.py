@@ -27,7 +27,8 @@ witnesses check too.
 Checks here recompute everything from the raw vertex data, so paths loaded
 from fixture files need no trusted metadata.  VertexPath and DirectedTerrace
 validate their input, so they are frozen dataclasses, whose
-dataclasses.replace re-validates; a named tuple's _replace would not.  Their
+dataclasses.replace re-validates; a named tuple's _replace would not.  Each
+stores one field; a terrace's sequencing is derived on each read.  Their
 private _trusted builders skip the checks for input already proved: the log
 table's repeat check proves the construction's logs, the symmetric check
 proves project_to_half's result, and the search's kernel proves its starters.
@@ -36,7 +37,7 @@ proves project_to_half's result, and the search's kernel proves its starters.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 
 from .modnum import _strict_int
@@ -151,28 +152,27 @@ def is_odc_starter(path: VertexPath) -> tuple[bool, tuple[int, ...] | None]:
 
 @dataclass(frozen=True)
 class DirectedTerrace:
-    """An arrangement of all elements of Z_{2n} with its difference sequence.
+    """An arrangement of all elements of Z_{2n}; entries is its one field.
 
     entries must be a permutation of 0..2n-1 (2n even, at least 6), which
-    the constructor checks; the sequencing holds the 2n-1 consecutive
-    differences mod 2n.  Whether the arrangement is actually a (symmetric)
-    directed terrace is decided by is_symmetric_directed_terrace, not by
-    construction.  The discrete-log construction builds its terrace through
-    _trusted, because the log table's repeat check has already proved the
-    logs a permutation.
+    the constructor checks.  The sequencing, the 2n-1 consecutive
+    differences mod 2n, is derived from entries on each read.  Whether the
+    arrangement is actually a (symmetric) directed terrace is decided by
+    is_symmetric_directed_terrace, not by construction.  The discrete-log
+    construction builds its terrace through _trusted, because the log
+    table's repeat check has already proved the logs a permutation.
     """
 
     entries: tuple[int, ...]
-    sequencing: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         es = _strict_ints(self.entries, "every entry")
+        object.__setattr__(self, "entries", es)
         k = len(es)
         if k < 6 or k % 2:
             raise ValueError(f"order must be even and >= 6, got {k}")
         if set(es) != set(range(k)):
             raise ValueError(f"entries must be a permutation of 0..{k - 1}")
-        self._fill(es)
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> DirectedTerrace:
@@ -182,17 +182,18 @@ class DirectedTerrace:
         forming a permutation of 0..2n-1 with 2n even and at least 6.
         """
         obj = object.__new__(cls)
-        obj._fill(entries)
+        object.__setattr__(obj, "entries", entries)
         return obj
-
-    def _fill(self, es: tuple[int, ...]) -> None:
-        k = len(es)
-        object.__setattr__(self, "entries", es)
-        object.__setattr__(self, "sequencing", tuple([(b - a) % k for a, b in zip(es, es[1:])]))
 
     @property
     def order(self) -> int:
         return len(self.entries)
+
+    @property
+    def sequencing(self) -> tuple[int, ...]:
+        """The 2n-1 differences entries[i] - entries[i-1] mod 2n, in order."""
+        es, k = self.entries, len(self.entries)
+        return tuple([(b - a) % k for a, b in zip(es, es[1:])])
 
 
 def is_symmetric_directed_terrace(t: DirectedTerrace) -> bool:

@@ -257,6 +257,9 @@ class TestVerify:
             ({"result": {"starter": 5}}, "starter", "5"),
             ({"result": {"odc": 5}}, "odc", "5"),
             ({"result": [[0, 1, 3, 2, 4]]}, "starter", "[[0, 1, 3, 2, 4]]"),
+            # none of odc, starter or starters, under either order of the keys
+            ({"result": {"n": 9}}, "starter", "machine document carries no paths"),
+            ({"result": {"n": 9}}, "odc", "machine document carries no paths"),
         ],
     )
     def test_machine_input_is_strict(self, capsys, tmp_path, document, mode, named):
@@ -609,9 +612,12 @@ class TestParsing:
         assert cli.main(["coverage"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("value", ["٣", "９", "1_1", " 9", "9 ", "+9"])
+    @pytest.mark.parametrize(
+        "value", ["٣", "９", "1_1", " 9", "9 ", "+9", pytest.param("9" * 5000, id="5000-digits")]
+    )
     def test_integer_flags_take_ascii_digits_only(self, capsys, value):
-        # int() reads each of these as 3, 9 or 11; every integer flag refuses them instead
+        # int() reads each of these as 3, 9 or 11; every integer flag refuses them instead.
+        # 5,000 digits pass the digit test, but int() converts no more than 4,300
         for argv, flag in [
             (["construct", "--n", value], "--n"),
             (["construct", "--n", "9", "--root", value], "--root"),

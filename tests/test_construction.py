@@ -84,8 +84,8 @@ class TestLogSequence:
                 assert logs[p - i] == (n + logs[i]) % (2 * n), (n, i)
 
     def test_sequencing_matches_quotient_formula(self):
-        # b_i == log((i+1)/i) and b_{2n-i} == -b_i
-        for n, g in ((9, 2), (15, 3)):
+        # b_i == log((i+1)/i) and b_{2n-i} == -b_i, for every root of every sweep order
+        for n, g in sweep_pairs():
             p = 2 * n + 1
             t = construction.log_sequence(n, g)
             logs = modnum.discrete_log_table(g, p)
@@ -371,6 +371,8 @@ class TestTrustedDirectedTerrace:
             t = built.pop()
             assert t == checked and t.entries == checked.entries and t.sequencing == checked.sequencing
             assert set(map(type, t.entries + t.sequencing)) == {int}
+            # the log table is one tuple, and the terrace's entries a slice of it
+            assert type(inst.log_table) is tuple and t.entries == inst.log_table[1:]
             assert construction.log_sequence(n, g) == checked
 
 

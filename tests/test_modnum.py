@@ -65,6 +65,11 @@ class TestFactorize:
         assert modnum.factorize(3**40) == [(3, 40)]
         assert modnum.factorize(2**61 - 1) == [(2**61 - 1, 1)]
 
+    @pytest.mark.parametrize("v", [0, -1, 2**64])
+    def test_rejects_out_of_range_naming_the_value(self, v):
+        with pytest.raises(ValueError, match=f"got {v}$"):
+            modnum.factorize(v)
+
     def test_prime_iff_single_factor(self):
         for v in range(2, 20_000):
             assert modnum.is_prime(v) == (modnum.factorize(v) == [(v, 1)])
@@ -246,6 +251,10 @@ class TestDiscreteLogTable:
             modnum.discrete_log_table(4, 19)
         with pytest.raises(ValueError):
             modnum.discrete_log_table(19, 19)
+
+    def test_rejects_composite_modulus(self):
+        with pytest.raises(ValueError, match="^modulus 15 is not prime$"):
+            modnum.discrete_log_table(2, 15)
 
 
 class TestStrictIntegers:

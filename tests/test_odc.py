@@ -156,7 +156,8 @@ class TestTranslates:
         assert coll.matrix.tolist() == [list(p.vertices) for p in rows]
 
     def test_peak_is_the_int32_matrix(self):
-        # one int32 n x n sum, reduced mod n in place: 4 bytes a cell, with no
+        # one int32 n x n sum of t - n and v, then n added where the sign bit is
+        # set, a block of rows at a time: 4 bytes a cell, with no division, no
         # lookup table and no int64 scratch
         n = 1019
         path = construction.build_starter(n).terrace
@@ -386,11 +387,36 @@ def broken_covers(draw):
     return rows, draw(ns), draw(ns), draw(st.lists(st.booleans(), min_size=n, max_size=n))
 
 
+@st.composite
+def multiplier_cases(draw):
+    """An eligible small order n, a path on Z_n (its discrete-log starter or
+    any permutation) and a unit a of Z_n."""
+    n = draw(st.sampled_from([9, 11, 15, 21, 23]))
+    vs = draw(st.just(construction.build_starter(n).terrace.vertices) | st.permutations(range(n)).map(tuple))
+    return n, vs, draw(st.sampled_from([a for a in range(1, n) if gcd(a, n) == 1]))
+
+
 class TestMetamorphicRelations:
     @given(broken_covers())
     @settings(max_examples=150, deadline=None)
     def test_relations_on_small_broken_covers(self, case):
         assert_relations(*case)
+
+    @given(multiplier_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_multiplier_relation(self, case):
+        # Ollis's multiplier equivalence: translates(a * P) is translates(P)
+        # relabelled by x -> a * x with row t moved to row a * t, so its report
+        # is the image of P's, edges and row pairs alike
+        n, vs, a = case
+        times_a = [a * v % n for v in range(n)]
+        cover = odc.translates(VertexPath(vs))
+        image = odc.translates(VertexPath(tuple(map(times_a.__getitem__, vs))))
+        for t, row in enumerate(cover.matrix.tolist()):
+            assert image.matrix[times_a[t]].tolist() == [times_a[v] for v in row], t
+        report = odc.verify_odc(cover)
+        mapped = [v._replace(subject=tuple(sorted(map(times_a.__getitem__, v.subject)))) for v in report.violations]
+        assert odc.verify_odc(image) == report._replace(violations=tuple(sorted(mapped)))
 
     @pytest.mark.parametrize("n", [1019, 1031])
     def test_relations_at_both_key_widths(self, n):

@@ -141,6 +141,16 @@ class TestDirectedTerrace:
         with pytest.raises(ValueError):
             DirectedTerrace((0, 1))  # too short
 
+    def test_entries_is_the_one_field(self):
+        # the sequencing is derived from the entries on each read, never stored
+        assert [f.name for f in dataclasses.fields(DirectedTerrace)] == ["entries"]
+        assert not hasattr(DirectedTerrace, "_fill")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DIRECTED_10.sequencing = (1,) * 9
+        moved = dataclasses.replace(DIRECTED_10, entries=(0, 1, 3, 2, 7, 4, 8, 6, 9, 5))
+        assert moved.sequencing == (1, 2, 9, 5, 7, 4, 8, 3, 6)
+        assert DIRECTED_10.sequencing == (1, 7, 4, 2, 5, 8, 6, 3, 9)
+
     def test_non_permutation_rejected_at_construction(self):
         # DIRECTED_10 with 5 lifted to 15: the differences mod 10, and so the
         # symmetric check's input, are unchanged; only construction rejects it

@@ -19,6 +19,7 @@ from odckit.search import (
     SearchConfig,
     _canonical_tuple,
     _explore,
+    _seed,
     _tables,
     _walk,
     canonical_form,
@@ -187,7 +188,7 @@ def collect(leaves, stop_at=None):
 
 
 class TestKernel:
-    """_explore under PruneLevel.NONE against plain permutation counting."""
+    """_explore under PruneLevel.NONE against plain permutation counting, and _seed's cuts."""
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_unpruned_subtree_is_every_permutation(self, n):
@@ -221,6 +222,19 @@ class TestKernel:
             assert leaves == [(0, t, u, *q) for q in itertools.permutations(rest)]
             # u, then every partial arrangement of the n - 3 others
             assert nodes == 1 + sum(math.perm(n - 3, j) for j in range(1, n - 2))
+
+    @pytest.mark.parametrize(
+        ("n", "prefix", "cut_under"),
+        [
+            # length 3 a third time, past either prune's cap of two
+            (15, (0, 3, 6, 9), {PruneLevel.LENGTHS, PruneLevel.DISTANCES}),
+            # lengths 1 and 2 each twice, both pairs at distance 3
+            (9, (0, 1, 3, 4, 6), {PruneLevel.DISTANCES}),
+        ],
+    )
+    def test_seed_cuts_a_prefix(self, n, prefix, cut_under):
+        for level in PruneLevel:
+            assert (_seed(n, prefix, level) is None) is (level in cut_under), level
 
 
 class TestTables:
@@ -300,14 +314,22 @@ class TestMultiplierQuotient:
         assert (starter_tuples(res), res.nodes_explored) == want
         assert res.starters[-1].vertices[:2] == (0, 3)
 
-    def test_nested_walk_matches_the_kernel_at_order_15(self):
-        # (0, 5, 10) is fixed by the units 1, 4, 7 and 13: the walk searches the
-        # children 1, 2 and 3 and maps each of them onto three others
-        prefix = (0, 5, 10)
+    @pytest.mark.parametrize(
+        ("prefix", "any_starter"),
+        [
+            # (0, 5, 10) is fixed by the units 1, 4, 7 and 13: the walk searches the
+            # children 1, 2 and 3 and maps each of them onto three others
+            ((0, 5, 10), True),
+            # (0, 3, 6, 12) is fixed by 1 and 11; its child 9 holds length 3 a third
+            # time, so that walk is cut and the orbit loop skips it
+            ((0, 3, 6, 12), False),
+        ],
+    )
+    def test_nested_walk_matches_the_kernel_at_order_15(self, prefix, any_starter):
         nodes, starters = _walk(SearchConfig(n=15, prune=PruneLevel.DISTANCES, canonicalize=False), prefix)
         leaves = []
         direct = _explore(15, prefix, PruneLevel.DISTANCES, collect(leaves))
-        assert starters
+        assert bool(starters) is any_starter
         assert starters == [vs for vs in leaves if oracle_is_starter(vs)]
         assert nodes == direct
 
